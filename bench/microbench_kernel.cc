@@ -7,10 +7,9 @@
 // exact per-edge stepping vs the fast path — verifying bit-exact egress and
 // reporting cycles/sec for both plus the speedup. `--saturated` instead pins
 // the loadgen at line rate (default one frame per 10 cycles, so fast-forward
-// never fires) and runs the workload three ways — exact, dynamic dispatch,
-// and the flat scheduled loop (Simulator::EnableFlatSchedule) — verifying
-// bit-exact egress across all three and reporting the flat-over-exact
-// speedup, the busy-path number emu-speed gates. `--json <path>` writes the
+// rarely fires) and runs the same exact-vs-fast pair, verifying bit-exact
+// egress and edge accounting and reporting the fast-over-exact speedup, the
+// busy-path number the saturated gate holds. `--json <path>` writes the
 // result as BENCH_kernel.json; `--check <baseline.json>` compares the
 // speedup ratio (machine-independent) against a committed baseline and fails
 // on a >20% regression (`--saturated --check` reads the baseline's
@@ -163,10 +162,9 @@ struct ThroughputResult {
 
 // Scheduler flavor for one workload run. kExact is the reference semantics
 // (per-edge stepping, every parked predicate evaluated every edge); kFast is
-// the quiescence fast path with dynamic dispatch; kFlat additionally adopts
-// the statically elaborated schedule and routed wakes
-// (Simulator::EnableFlatSchedule).
-enum class RunMode { kExact, kFast, kFlat };
+// the default fast path (quiescence fast-forward plus routed wakes, which
+// the stock pipeline's IO declarations switch on).
+enum class RunMode { kExact, kFast };
 
 // The soak shape: frames through the learning switch every `frame_gap`
 // cycles. A large gap is the idle-heavy pattern chaos soaks spend their
@@ -178,12 +176,6 @@ ThroughputResult RunSoakWorkload(RunMode mode, u64 total_cycles, u64 frame_gap,
   FpgaTarget target(service);
   if (mode == RunMode::kExact) {
     target.sim().SetFastPath(false);
-  } else if (mode == RunMode::kFlat) {
-    if (!target.EnableFlatSchedule()) {
-      std::fprintf(stderr,
-                   "microbench_kernel: EnableFlatSchedule() failed on the stock pipeline\n");
-      std::abort();
-    }
   }
   target.sim().SetProfilingMode(profiling);
   const MacAddress a = MacAddress::FromU48(0x020000000001);
@@ -235,59 +227,61 @@ std::string ResultJson(const ThroughputResult& result, bool with_fast_forward) {
   return out;
 }
 
+// The report: workload, one object per scheduler mode, and the speedup.
+// The saturated flavor nests the same fields under a "saturated" key, so a
+// combined baseline file can hold both the idle ("kernel_throughput") and
+// saturated sections side by side.
 std::string ThroughputJson(const ThroughputResult& exact, const ThroughputResult& fast,
-                           u64 total_cycles, u64 frame_gap) {
+                           u64 total_cycles, u64 frame_gap, bool saturated) {
   const double speedup =
       exact.cycles_per_sec > 0 ? fast.cycles_per_sec / exact.cycles_per_sec : 0;
-  return "{\n"
-         "  \"benchmark\": \"kernel_throughput\",\n"
-         "  \"workload\": {\"service\": \"learning_switch\", \"cycles\": " +
-         std::to_string(total_cycles) + ", \"frame_gap\": " + std::to_string(frame_gap) +
-         "},\n"
-         "  \"exact\": " + ResultJson(exact, false) +
-         ",\n"
-         "  \"fast\": " + ResultJson(fast, true) +
-         ",\n"
-         "  \"speedup\": " + bench::FormatJsonNumber(speedup) + "\n}\n";
+  const std::string indent = saturated ? "    " : "  ";
+  std::string body = indent + "\"workload\": {\"service\": \"learning_switch\", \"cycles\": " +
+                     std::to_string(total_cycles) + ", \"frame_gap\": " +
+                     std::to_string(frame_gap) + "},\n" + indent +
+                     "\"exact\": " + ResultJson(exact, false) + ",\n" + indent +
+                     "\"fast\": " + ResultJson(fast, true) + ",\n" + indent +
+                     "\"speedup\": " + bench::FormatJsonNumber(speedup) + "\n";
+  if (!saturated) {
+    return "{\n  \"benchmark\": \"kernel_throughput\",\n" + body + "}\n";
+  }
+  return "{\n  \"benchmark\": \"kernel_throughput_saturated\",\n  \"saturated\": {\n" + body +
+         "  }\n}\n";
 }
 
-// The saturated busy-path flavor: same schema shape, one section per
-// scheduler mode, keyed so a combined baseline file can hold both the idle
-// ("kernel_throughput") and saturated sections side by side.
-std::string SaturatedJson(const ThroughputResult& exact, const ThroughputResult& dynamic,
-                          const ThroughputResult& flat, u64 total_cycles, u64 frame_gap) {
-  const double speedup = exact.cycles_per_sec > 0 ? flat.cycles_per_sec / exact.cycles_per_sec : 0;
-  return "{\n"
-         "  \"benchmark\": \"kernel_throughput_saturated\",\n"
-         "  \"saturated\": {\n"
-         "    \"workload\": {\"service\": \"learning_switch\", \"cycles\": " +
-         std::to_string(total_cycles) + ", \"frame_gap\": " + std::to_string(frame_gap) +
-         "},\n"
-         "    \"exact\": " + ResultJson(exact, false) +
-         ",\n"
-         "    \"dynamic\": " + ResultJson(dynamic, true) +
-         ",\n"
-         "    \"flat\": " + ResultJson(flat, true) +
-         ",\n"
-         "    \"speedup\": " + bench::FormatJsonNumber(speedup) +
-         "\n  }\n}\n";
+bool DigestsMatch(const char* name, const ThroughputResult& got, const ThroughputResult& want) {
+  if (got.egress_digest == want.egress_digest && got.egress_count == want.egress_count) {
+    return true;
+  }
+  std::printf("FAIL: %s diverged from exact (egress %llu/%016llx vs %llu/%016llx)\n", name,
+              static_cast<unsigned long long>(got.egress_count),
+              static_cast<unsigned long long>(got.egress_digest),
+              static_cast<unsigned long long>(want.egress_count),
+              static_cast<unsigned long long>(want.egress_digest));
+  return false;
 }
 
-int ThroughputMain(u64 total_cycles, u64 frame_gap, const std::string& json_path,
+// Exact vs fast on the soak shape: `--throughput` (idle-heavy) or
+// `--saturated` (busy path; its baseline is the file's "saturated" section).
+int ThroughputMain(u64 total_cycles, u64 frame_gap, bool saturated, const std::string& json_path,
                    const std::string& baseline_path, const std::string& compare_path,
                    double tolerance_pct) {
-  std::printf("kernel throughput: %llu cycles, one frame per %llu cycles\n",
-              static_cast<unsigned long long>(total_cycles),
+  std::printf("kernel %sthroughput: %llu cycles, one frame per %llu cycles\n",
+              saturated ? "saturated " : "", static_cast<unsigned long long>(total_cycles),
               static_cast<unsigned long long>(frame_gap));
   const ThroughputResult exact = RunSoakWorkload(RunMode::kExact, total_cycles, frame_gap);
   const ThroughputResult fast = RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap);
 
-  if (fast.egress_digest != exact.egress_digest || fast.egress_count != exact.egress_count) {
-    std::printf("FAIL: fast path diverged from exact (egress %llu/%016llx vs %llu/%016llx)\n",
-                static_cast<unsigned long long>(fast.egress_count),
-                static_cast<unsigned long long>(fast.egress_digest),
-                static_cast<unsigned long long>(exact.egress_count),
-                static_cast<unsigned long long>(exact.egress_digest));
+  if (!DigestsMatch("fast path", fast, exact)) {
+    return 1;
+  }
+  // Executed-edge accounting must also agree: every cycle is either run or
+  // provably quiescent.
+  if (fast.edges_run + fast.cycles_fast_forwarded != exact.edges_run) {
+    std::printf("FAIL: edge accounting diverged (exact %llu, fast %llu+%llu)\n",
+                static_cast<unsigned long long>(exact.edges_run),
+                static_cast<unsigned long long>(fast.edges_run),
+                static_cast<unsigned long long>(fast.cycles_fast_forwarded));
     return 1;
   }
 
@@ -298,12 +292,12 @@ int ThroughputMain(u64 total_cycles, u64 frame_gap, const std::string& json_path
   std::printf("  fast:  %.3g cycles/sec (%llu edges + %llu fast-forwarded)\n",
               fast.cycles_per_sec, static_cast<unsigned long long>(fast.edges_run),
               static_cast<unsigned long long>(fast.cycles_fast_forwarded));
-  std::printf("  speedup: %.2fx (egress bit-exact, %llu frames)\n", speedup,
+  std::printf("  speedup: %.2fx fast over exact (egress bit-exact, %llu frames)\n", speedup,
               static_cast<unsigned long long>(fast.egress_count));
 
   if (!json_path.empty()) {
     std::ofstream file(json_path);
-    file << ThroughputJson(exact, fast, total_cycles, frame_gap);
+    file << ThroughputJson(exact, fast, total_cycles, frame_gap, saturated);
     if (!file) {
       std::printf("FAIL: could not write %s\n", json_path.c_str());
       return 1;
@@ -320,8 +314,13 @@ int ThroughputMain(u64 total_cycles, u64 frame_gap, const std::string& json_path
     std::stringstream buffer;
     buffer << file.rdbuf();
     double baseline_speedup = 0;
-    if (!bench::ExtractJsonNumber(buffer.str(), "speedup", &baseline_speedup)) {
-      std::printf("FAIL: no \"speedup\" in baseline %s\n", baseline_path.c_str());
+    const bool found =
+        saturated ? bench::ExtractJsonNumberInSection(buffer.str(), "saturated", "speedup",
+                                                      &baseline_speedup)
+                  : bench::ExtractJsonNumber(buffer.str(), "speedup", &baseline_speedup);
+    if (!found) {
+      std::printf("FAIL: no %sspeedup in baseline %s\n", saturated ? "saturated." : "",
+                  baseline_path.c_str());
       return 1;
     }
     // The speedup ratio is machine-independent (both runs share the host),
@@ -363,98 +362,6 @@ int ThroughputMain(u64 total_cycles, u64 frame_gap, const std::string& json_path
       return 1;
     }
     std::printf("  overhead gate passed\n");
-  }
-  return 0;
-}
-
-// --- Saturated busy-path mode (--saturated) ---------------------------------------
-
-bool DigestsMatch(const char* name, const ThroughputResult& got, const ThroughputResult& want) {
-  if (got.egress_digest == want.egress_digest && got.egress_count == want.egress_count) {
-    return true;
-  }
-  std::printf("FAIL: %s diverged from exact (egress %llu/%016llx vs %llu/%016llx)\n", name,
-              static_cast<unsigned long long>(got.egress_count),
-              static_cast<unsigned long long>(got.egress_digest),
-              static_cast<unsigned long long>(want.egress_count),
-              static_cast<unsigned long long>(want.egress_digest));
-  return false;
-}
-
-int SaturatedMain(u64 total_cycles, u64 frame_gap, const std::string& json_path,
-                  const std::string& baseline_path) {
-  std::printf("kernel saturated throughput: %llu cycles, one frame per %llu cycles\n",
-              static_cast<unsigned long long>(total_cycles),
-              static_cast<unsigned long long>(frame_gap));
-  const ThroughputResult exact = RunSoakWorkload(RunMode::kExact, total_cycles, frame_gap);
-  const ThroughputResult dynamic = RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap);
-  const ThroughputResult flat = RunSoakWorkload(RunMode::kFlat, total_cycles, frame_gap);
-
-  if (!DigestsMatch("dynamic fast path", dynamic, exact) ||
-      !DigestsMatch("flat scheduled loop", flat, exact)) {
-    return 1;
-  }
-  // Executed-edge accounting must also agree: every cycle is either run or
-  // provably quiescent, in every mode.
-  if (dynamic.edges_run + dynamic.cycles_fast_forwarded != exact.edges_run ||
-      flat.edges_run + flat.cycles_fast_forwarded != exact.edges_run) {
-    std::printf("FAIL: edge accounting diverged (exact %llu, dynamic %llu+%llu, flat %llu+%llu)\n",
-                static_cast<unsigned long long>(exact.edges_run),
-                static_cast<unsigned long long>(dynamic.edges_run),
-                static_cast<unsigned long long>(dynamic.cycles_fast_forwarded),
-                static_cast<unsigned long long>(flat.edges_run),
-                static_cast<unsigned long long>(flat.cycles_fast_forwarded));
-    return 1;
-  }
-
-  const double speedup =
-      exact.cycles_per_sec > 0 ? flat.cycles_per_sec / exact.cycles_per_sec : 0;
-  std::printf("  exact:   %.3g cycles/sec (%llu edges)\n", exact.cycles_per_sec,
-              static_cast<unsigned long long>(exact.edges_run));
-  std::printf("  dynamic: %.3g cycles/sec (%llu edges + %llu fast-forwarded)\n",
-              dynamic.cycles_per_sec, static_cast<unsigned long long>(dynamic.edges_run),
-              static_cast<unsigned long long>(dynamic.cycles_fast_forwarded));
-  std::printf("  flat:    %.3g cycles/sec (%llu edges + %llu fast-forwarded)\n",
-              flat.cycles_per_sec, static_cast<unsigned long long>(flat.edges_run),
-              static_cast<unsigned long long>(flat.cycles_fast_forwarded));
-  std::printf("  speedup: %.2fx flat over exact (egress bit-exact, %llu frames)\n", speedup,
-              static_cast<unsigned long long>(flat.egress_count));
-
-  if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    file << SaturatedJson(exact, dynamic, flat, total_cycles, frame_gap);
-    if (!file) {
-      std::printf("FAIL: could not write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  if (!baseline_path.empty()) {
-    std::ifstream file(baseline_path);
-    if (!file) {
-      std::printf("FAIL: could not read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    double baseline_speedup = 0;
-    if (!bench::ExtractJsonNumberInSection(buffer.str(), "saturated", "speedup",
-                                           &baseline_speedup)) {
-      std::printf("FAIL: no saturated.speedup in baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    // Same machine-independent gate as --check for the idle workload: the
-    // flat-over-exact ratio, held within 20% of the committed baseline.
-    const double floor = baseline_speedup * 0.8;
-    std::printf("  baseline saturated speedup %.2fx, regression floor %.2fx\n", baseline_speedup,
-                floor);
-    if (speedup < floor) {
-      std::printf("FAIL: saturated speedup %.2fx regressed more than 20%% from baseline %.2fx\n",
-                  speedup, baseline_speedup);
-      return 1;
-    }
-    std::printf("  saturated perf gate passed\n");
   }
   return 0;
 }
@@ -572,33 +479,21 @@ int main(int argc, char** argv) {
       tolerance_set = true;
     }
   }
+  // Saturated shapes default to one frame per 10 cycles: quiescent windows
+  // are rare, so the per-edge cost (not fast-forward) dominates — the busy
+  // path, and the worst case for a per-edge profiler.
+  if ((saturated || profile_overhead) && !gap_set) {
+    gap = 10;
+  }
+  if (gap == 0) {
+    gap = 1;
+  }
   if (profile_overhead) {
-    // Saturated shape by default (worst case for a per-edge profiler); the
-    // overhead gate defaults to 5% rather than --compare's 3%.
-    if (!gap_set) {
-      gap = 10;
-    }
-    if (gap == 0) {
-      gap = 1;
-    }
+    // The overhead gate defaults to 5% rather than --compare's 3%.
     return emu::ProfileOverheadMain(cycles, gap, tolerance_set ? tolerance_pct : 5.0, json_path);
   }
-  if (saturated) {
-    // Saturated busy path: frames arrive fast enough that quiescent windows
-    // are rare, so the per-edge cost (not fast-forward) dominates.
-    if (!gap_set) {
-      gap = 10;
-    }
-    if (gap == 0) {
-      gap = 1;
-    }
-    return emu::SaturatedMain(cycles, gap, json_path, baseline_path);
-  }
-  if (throughput) {
-    if (gap == 0) {
-      gap = 1;
-    }
-    return emu::ThroughputMain(cycles, gap, json_path, baseline_path, compare_path,
+  if (saturated || throughput) {
+    return emu::ThroughputMain(cycles, gap, saturated, json_path, baseline_path, compare_path,
                                tolerance_pct);
   }
   benchmark::Initialize(&argc, argv);

@@ -44,13 +44,6 @@ class FpgaTarget {
   // Advances the clock.
   void Run(Cycle cycles) { scheduler_.sim().Run(cycles); }
 
-  // Pre-elaborates the constructed pipeline into the flat scheduled edge
-  // loop (see Simulator::EnableFlatSchedule). The NetFPGA datapath declares
-  // all of its IO, so this succeeds for every stock service; it returns
-  // false (leaving dynamic dispatch) only when a custom Service left a
-  // process undeclared or declared a cyclic comb path.
-  bool EnableFlatSchedule() { return scheduler_.sim().EnableFlatSchedule(); }
-
   // Runs until at least `count` frames have egressed (or `limit` elapses).
   bool RunUntilEgressCount(usize count, Cycle limit);
 

@@ -49,7 +49,7 @@ class SyncFifo : public Clocked {
     // Self-announcing: Push/Pop call AnnounceDirty on the clean→dirty
     // transition, so the scheduler commits this FIFO only on edges where a
     // port was actually used.
-    sim_.RegisterClocked(this, /*self_announcing=*/true);
+    sim_.RegisterClocked(this);
     sim_.catalog().AddElement(this, elab::NodeKind::kFifo, name_, /*no_init=*/false, depth);
   }
 
@@ -149,9 +149,10 @@ class SyncFifo : public Clocked {
     T value = std::move(items_[pop_count_]);
     ++pop_count_;
     if (pop_count_ == 1) {
-      // Deferring the commit-time erase is state-neutral (see CommitPending),
-      // but an uncommitted pop backlog would grow without bound; enqueue a
-      // commit so popped storage is reclaimed at this edge.
+      // Deferring the commit-time erase would be state-neutral (Size/CanPush/
+      // Front already index past popped items), but an uncommitted pop
+      // backlog would grow without bound; enqueue a commit so popped storage
+      // is reclaimed at this edge.
       sim_.AnnounceDirty(this);
     }
     if (obs::TraceBuffer* tb = obs::ActiveBuffer()) {
@@ -180,11 +181,6 @@ class SyncFifo : public Clocked {
     }
     pending_push_.clear();
   }
-
-  // Pending pops are not "pending" here: their erase above is state-neutral
-  // (Size/CanPush/Front already index past them), so deferring it across a
-  // quiescent window changes nothing observable.
-  bool CommitPending() const override { return !pending_push_.empty(); }
 
  private:
   bool CanPushRaw() const {

@@ -6,8 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
+#include <utility>
 
-#include "src/analysis/elab/elab_graph.h"
 #include "src/analysis/elab/elaboration.h"
 #include "src/analysis/hazard_monitor.h"
 #include "src/core/metrics.h"
@@ -55,8 +55,7 @@ usize Simulator::AddProcess(HwProcess process, std::string name) {
   }
   // A process registered now has (by definition) no IO declaration the route
   // table was built from: routed wakes can no longer prove watcher
-  // completeness, so fall back to global wake epochs. The flat span itself
-  // stays armed — it is bit-exact either way.
+  // completeness, so fall back to global wake epochs.
   DisableWakeRouting();
   return index;
 }
@@ -74,46 +73,80 @@ void Simulator::AdoptSchedule(std::vector<usize> order) {
   order_ = std::move(order);
 }
 
-bool Simulator::EnableFlatSchedule() {
-  const elab::ElabGraph graph = elab::ElabGraph::FromSimulator(*this);
-  if (!graph.fully_declared()) {
-    return false;
+void Simulator::BuildWakeRoutes() {
+  routes_built_ = true;
+  const std::vector<elab::ProcessIo>& io = catalog_.io();
+  const usize count = processes_.size();
+  if (io.size() < count ||
+      !std::all_of(io.begin(), io.begin() + count,
+                   [](const elab::ProcessIo& decl) { return decl.declared; })) {
+    return;  // some process never declared its IO
   }
-  elab::ScheduleResult schedule = graph.StaticSchedule();
-  if (!schedule.ok) {
-    return false;
-  }
-  AdoptSchedule(std::move(schedule.order));
   // Element -> watcher processes: the union of every declared role. Any
   // process that reads, writes, pushes or pops an element may have a parked
   // predicate over its state, so a mutation marks them all; over-marking
   // costs a predicate poll, never a missed resume.
-  wake_routes_.clear();
-  wake_routes_.reserve(graph.nodes().size());
-  for (const elab::ElabNode& node : graph.nodes()) {
-    if (node.id == nullptr) {
-      continue;  // name-only implicit node: no address identity to route
+  const std::vector<elab::ElementDecl>& elements = catalog_.elements();
+  usize refs_total = 0;
+  for (usize p = 0; p < count; ++p) {
+    for (const elab::IoRefs* refs : {&io[p].reads, &io[p].writes, &io[p].pops, &io[p].pushes}) {
+      refs_total += refs->ids.size() + refs->names.size();
     }
-    std::vector<u32>& watchers = wake_routes_[node.id];
-    auto add_role = [&watchers](const std::vector<usize>& role) {
-      for (usize process : role) {
-        const u32 index = static_cast<u32>(process);
-        if (std::find(watchers.begin(), watchers.end(), index) == watchers.end()) {
-          watchers.push_back(index);
+  }
+  std::vector<std::pair<const void*, u32>> pairs;
+  pairs.reserve(refs_total);
+  for (usize p = 0; p < count; ++p) {
+    for (const elab::IoRefs* refs : {&io[p].reads, &io[p].writes, &io[p].pops, &io[p].pushes}) {
+      for (const void* id : refs->ids) {
+        pairs.emplace_back(id, static_cast<u32>(p));
+      }
+      // A name resolves like ElabGraph's, to the first element registered
+      // under it (designs name only a handful of elements). One no element
+      // registered has no address to route: its mutations wake globally.
+      for (const std::string& name : refs->names) {
+        auto it = std::find_if(elements.begin(), elements.end(),
+                               [&name](const elab::ElementDecl& e) { return e.name == name; });
+        if (it != elements.end()) {
+          pairs.emplace_back(it->id, static_cast<u32>(p));
         }
       }
-    };
-    add_role(node.readers);
-    add_role(node.writers);
-    add_role(node.poppers);
-    add_role(node.pushers);
+    }
   }
-  flat_schedule_ = true;
+  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+    return std::less<>()(a.first, b.first) || (a.first == b.first && a.second < b.second);
+  });
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  // At most half full, so every probe sequence reaches an empty slot.
+  usize size = 2;
+  wake_route_shift_ = 63;
+  while (size < 2 * pairs.size()) {
+    size *= 2;
+    --wake_route_shift_;
+  }
+  wake_routes_.assign(size, WakeRoute{});
+  wake_watchers_.clear();
+  wake_watchers_.reserve(pairs.size());
+  for (usize i = 0; i < pairs.size(); ++i) {
+    const void* element = pairs[i].first;
+    if (i > 0 && pairs[i - 1].first == element) {
+      continue;  // this element's run was placed with its first pair
+    }
+    usize slot = WakeRouteHome(element);
+    while (wake_routes_[slot].count != 0) {
+      slot = (slot + 1) & (size - 1);
+    }
+    WakeRoute& route = wake_routes_[slot];
+    route.element = element;
+    route.first = static_cast<u32>(wake_watchers_.size());
+    for (usize j = i; j < pairs.size() && pairs[j].first == element; ++j) {
+      wake_watchers_.push_back(pairs[j].second);
+    }
+    route.count = static_cast<u32>(wake_watchers_.size()) - route.first;
+  }
   wake_routes_active_ = true;
-  // Force one global re-evaluation so predicates parked before adoption are
-  // not skipped on a stale epoch under the new routing regime.
+  // Force one global re-evaluation so predicates parked before routing are
+  // not skipped on a stale epoch under the new regime.
   ++wake_epoch_;
-  return true;
 }
 
 void Simulator::RunPreFlight() {
@@ -121,15 +154,12 @@ void Simulator::RunPreFlight() {
   elaboration_->PreFlight(*this);
 }
 
-void Simulator::RegisterClocked(Clocked* element, bool self_announcing) {
+void Simulator::RegisterClocked(Clocked* element) {
   assert(element != nullptr);
 #ifdef EMU_ANALYSIS
   element->analysis_owner_ = this;
 #endif
   clocked_.push_back(element);
-  if (!self_announcing) {
-    always_commit_.push_back(element);
-  }
 }
 
 void Simulator::UnregisterClocked(Clocked* element) {
@@ -142,7 +172,6 @@ void Simulator::UnregisterClocked(Clocked* element) {
     list.erase(std::remove(list.begin(), list.end(), element), list.end());
   };
   drop(clocked_);
-  drop(always_commit_);
   drop(dirty_);
   if (element != nullptr) {
     element->commit_enqueued_ = false;
@@ -156,10 +185,8 @@ void Simulator::NotifyClockedDestroyed(Clocked* element) {
       ++dead_clocked_;
     }
   }
-  // The commit lists are walked without null checks on the fast path; a
-  // dying element must leave them immediately.
-  always_commit_.erase(std::remove(always_commit_.begin(), always_commit_.end(), element),
-                       always_commit_.end());
+  // The dirty queue is walked without null checks on the fast path; a dying
+  // element must leave it immediately.
   dirty_.erase(std::remove(dirty_.begin(), dirty_.end(), element), dirty_.end());
 }
 
@@ -212,8 +239,8 @@ inline u64 ElapsedNs(std::chrono::steady_clock::time_point start,
 
 }  // namespace
 
-u64 Simulator::SweepProcesses(bool lazy, bool timed) {
-  u64 activity = 0;
+usize Simulator::SweepProcesses(bool lazy, bool timed) {
+  usize pinned = 0;
   const usize count = processes_.size();
   const usize* order = order_.empty() ? nullptr : order_.data();
   for (usize pos = 0; pos < count; ++pos) {
@@ -224,6 +251,7 @@ u64 Simulator::SweepProcesses(bool lazy, bool timed) {
     }
     if (slot.state == Slot::kSleeping) {
       if (slot.wake_at > now_) {
+        pinned += slot.wake_at == now_ + 1 ? 1 : 0;  // due on the next edge
         continue;
       }
     } else if (slot.state == Slot::kParked) {
@@ -232,7 +260,6 @@ u64 Simulator::SweepProcesses(bool lazy, bool timed) {
       }
       ProcessStats& stats = stats_[i];
       ++stats.polls;
-      ++activity;
       if (!slot.wait_pred(slot.wait_ctx)) {
         slot.wait_epoch = wake_epoch_;
         slot.routed_stale = false;
@@ -243,7 +270,6 @@ u64 Simulator::SweepProcesses(bool lazy, bool timed) {
     ProcessStats& stats = stats_[i];
     ++stats.resumes;
     ++stats.cycles_awake;
-    ++activity;
     HwProcess& process = processes_[i].process;
     if (timed) [[unlikely]] {
       const auto start = std::chrono::steady_clock::now();
@@ -253,22 +279,31 @@ u64 Simulator::SweepProcesses(bool lazy, bool timed) {
       process.Resume();
     }
     Reclassify(i);
+    // Runnable, or parked afresh (its predicate is not evaluated until the
+    // next sweep): either way the next edge must execute. Re-index: a resume
+    // that registers a process may reallocate sched_.
+    const Slot::State state = sched_[i].state;
+    pinned += (state == Slot::kRunnable || state == Slot::kParked) ? 1 : 0;
   }
-  return activity;
+  return pinned;
 }
 
-u64 Simulator::ProfiledSweepAndCommit(bool lazy) {
+usize Simulator::ProfiledSweepAndCommit(bool lazy) {
   ++phase_resume_.calls;
   ++phase_commit_.calls;
-  const bool timed =
-      profiling_mode_ == ProfilingMode::kFull || (++edge_tick_ % sample_stride_) == 0;
-  if (!timed) {
-    const u64 activity = SweepProcesses(lazy, /*timed=*/false);
+  // Phases are timed where the tick is 0 modulo the stride, per-process
+  // resumes half a stride later: a resume clock pair inside the phase window
+  // would bill its own cost to resume_dispatch. Under kFull (stride 1) both
+  // land on every edge.
+  const u64 tick = ++edge_tick_ % sample_stride_;
+  const bool time_resumes = tick == sample_stride_ / 2;
+  if (tick != 0) {
+    const usize pinned = SweepProcesses(lazy, time_resumes);
     CommitEdge();
-    return activity;
+    return pinned;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const u64 activity = SweepProcesses(lazy, /*timed=*/true);
+  const usize pinned = SweepProcesses(lazy, time_resumes);
   const auto t1 = std::chrono::steady_clock::now();
   CommitEdge();
   const auto t2 = std::chrono::steady_clock::now();
@@ -277,13 +312,10 @@ u64 Simulator::ProfiledSweepAndCommit(bool lazy) {
   ++phase_commit_.timed_calls;
   phase_commit_.wall_ns += ElapsedNs(t1, t2);
   ++edges_timed_;
-  return activity;
+  return pinned;
 }
 
 void Simulator::CommitEdge() {
-  for (Clocked* element : always_commit_) {
-    element->Commit();
-  }
   // Index loop: a Commit() that re-announces (none in the kernel do, but the
   // contract allows it) grows the queue mid-walk.
   for (usize i = 0; i < dirty_.size(); ++i) {
@@ -320,9 +352,9 @@ void Simulator::Step() {
   // with the fast path off every parked predicate is evaluated on every
   // edge, which is the reference semantics.
   if (profiling_mode_ != ProfilingMode::kOff) [[unlikely]] {
-    ProfiledSweepAndCommit(/*lazy=*/fast_path_);
+    pinned_ = ProfiledSweepAndCommit(/*lazy=*/fast_path_);
   } else {
-    SweepProcesses(/*lazy=*/fast_path_, /*timed=*/false);
+    pinned_ = SweepProcesses(/*lazy=*/fast_path_, /*timed=*/false);
     CommitEdge();
   }
   ++now_;
@@ -336,6 +368,7 @@ void Simulator::Step() {
 
 #ifdef EMU_ANALYSIS
 void Simulator::StepInstrumented() {
+  pinned_ = 0;  // not counted here; the run loop's scan answers for itself
   if (dead_clocked_ > 0) {
     // The lifetime rule (see the header) was violated: a registered element
     // died and Step() ran anyway. With a monitor this is a report; without
@@ -410,30 +443,16 @@ Cycle Simulator::QuiescentWindow(Cycle budget) {
     return 0;
   }
 #endif
-  if (fault_registry_ != nullptr) {
-    const u64 demand = fault_registry_->NextTickDemand(now_);
-    if (demand <= now_) {
-      return 0;
-    }
-    if (demand != FaultRegistry::kNeverDemands) {
-      budget = std::min(budget, static_cast<Cycle>(demand - now_));
-    }
+  // Buffered writes (testbench code mutating a Reg/FIFO/BRAM between Run
+  // calls, or a process's writes from the edge it went to sleep on) need a
+  // real edge to commit before time may jump. Every element announces them,
+  // so the dirty queue is the whole answer.
+  if (!dirty_.empty()) {
+    return 0;
   }
-  if (!forced_wakes_.empty()) {
-    const Cycle first = *forced_wakes_.begin();
-    if (first <= now_) {
-      return 0;
-    }
-    budget = std::min(budget, first - now_);
-  }
-  if (event_scheduler_ != nullptr && !event_scheduler_->Empty()) {
-    const Cycle event_cycle =
-        static_cast<Cycle>(event_scheduler_->NextEventTime() / cycle_period_ps_);
-    if (event_cycle <= now_) {
-      return 0;
-    }
-    budget = std::min(budget, event_cycle - now_);
-  }
+  // Every clamp below either answers 0 or shrinks the window, so their order
+  // only decides how fast a busy edge is ruled out: the slot sweep, which
+  // rejects most busy edges, goes first.
   Cycle window = budget;
   for (const Slot& slot : sched_) {
     switch (slot.state) {
@@ -454,17 +473,28 @@ Cycle Simulator::QuiescentWindow(Cycle budget) {
         return 0;
     }
   }
-  if (window > 0) {
-    // Buffered writes (testbench code mutating a Reg/FIFO/BRAM between Run
-    // calls, or a process's writes from the edge it went to sleep on) need a
-    // real edge to commit before time may jump.
-    if (!dirty_.empty()) {
+  if (!forced_wakes_.empty()) {
+    const Cycle first = *forced_wakes_.begin();
+    if (first <= now_) {
       return 0;
     }
-    for (const Clocked* element : clocked_) {
-      if (element->CommitPending()) {
-        return 0;
-      }
+    window = std::min(window, first - now_);
+  }
+  if (event_scheduler_ != nullptr && !event_scheduler_->Empty()) {
+    const Cycle event_cycle =
+        static_cast<Cycle>(event_scheduler_->NextEventTime() / cycle_period_ps_);
+    if (event_cycle <= now_) {
+      return 0;
+    }
+    window = std::min(window, event_cycle - now_);
+  }
+  if (fault_registry_ != nullptr) {
+    const u64 demand = fault_registry_->NextTickDemand(now_);
+    if (demand <= now_) {
+      return 0;
+    }
+    if (demand != FaultRegistry::kNeverDemands) {
+      window = std::min(window, static_cast<Cycle>(demand - now_));
     }
   }
   return window;
@@ -496,24 +526,10 @@ void Simulator::AttachFaultRegistry(FaultRegistry* registry) {
 
 void Simulator::FastForward(Cycle cycles) {
   assert(cycles > 0);
-  if (profiling_mode_ != ProfilingMode::kOff) [[unlikely]] {
-    // Jumps are rare relative to edges: always time them when profiling.
-    const auto t0 = std::chrono::steady_clock::now();
-    if (obs::TraceBuffer* tb = obs::ActiveBuffer()) {
-      obs::EmitComplete(tb, "sim.quiescent", NowPs(),
-                        static_cast<Picoseconds>(cycles) * cycle_period_ps_);
-    }
-    now_ += cycles;
-    cycles_fast_forwarded_ += cycles;
-    ++jumps_;
-    if (fault_registry_ != nullptr) {
-      fault_registry_->NoteSkippedTicks(cycles);
-    }
-    ++phase_fast_forward_.calls;
-    ++phase_fast_forward_.timed_calls;
-    phase_fast_forward_.wall_ns += ElapsedNs(t0, std::chrono::steady_clock::now());
-    return;
-  }
+  // Jumps are rare relative to edges: always time them when profiling.
+  const bool timed = profiling_mode_ != ProfilingMode::kOff;
+  const auto t0 =
+      timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
   // The jump itself is an observable worth tracing: a complete span covering
   // the skipped window shows exactly where the run was quiescent.
   if (obs::TraceBuffer* tb = obs::ActiveBuffer()) {
@@ -531,107 +547,47 @@ void Simulator::FastForward(Cycle cycles) {
     // sampling.
     fault_registry_->NoteSkippedTicks(cycles);
   }
-}
-
-void Simulator::RunFlatSpan(Cycle end, const std::function<bool()>* done) {
-  // Phase attribution: the whole span is timed as one flat_span entry
-  // (inclusive of the sweeps/commits inside it), so the flat loop's dispatch
-  // saving shows up as flat_span.wall minus the inner phases.
-  struct SpanTimer {
-    PhaseProfile* phase;
-    std::chrono::steady_clock::time_point start;
-    explicit SpanTimer(PhaseProfile* p)
-        : phase(p), start(p != nullptr ? std::chrono::steady_clock::now()
-                                       : std::chrono::steady_clock::time_point{}) {}
-    ~SpanTimer() {
-      if (phase != nullptr) {
-        ++phase->calls;
-        ++phase->timed_calls;
-        phase->wall_ns += ElapsedNs(start, std::chrono::steady_clock::now());
-      }
-    }
-  };
-  SpanTimer span_timer(profiling_mode_ != ProfilingMode::kOff ? &phase_flat_ : nullptr);
-  while (now_ < end) {
-    if (fault_registry_ != nullptr) [[unlikely]] {
-      fault_registry_->Tick(now_);
-    }
-    if (!forced_wakes_.empty()) [[unlikely]] {
-      ConsumeForcedWakes();
-    }
-    u64 activity;
-    if (profiling_mode_ != ProfilingMode::kOff) [[unlikely]] {
-      activity = ProfiledSweepAndCommit(/*lazy=*/true);
-    } else {
-      activity = SweepProcesses(/*lazy=*/true, /*timed=*/false);
-      CommitEdge();
-    }
-    ++now_;
-    ++edges_run_;
-    if (!edge_observers_.empty()) [[unlikely]] {
-      // Attached mid-span (e.g. by a fault callback): this edge ran with the
-      // observer live, so it sees the edge, and the caller's loop falls back
-      // to dynamic per-edge dispatch for the rest of the run.
-      for (EdgeObserver* observer : edge_observers_) {
-        observer->OnEdge(now_);
-      }
-      return;
-    }
-#ifdef EMU_ANALYSIS
-    if (monitor_ != nullptr || dead_clocked_ > 0) [[unlikely]] {
-      return;  // fall back to StepInstrumented dispatch
-    }
-#endif
-    if (done != nullptr && (*done)()) {
-      return;
-    }
-    if (activity == 0) {
-      // Quiescent edge: hand control back so Run can fast-forward the rest
-      // of the window instead of idling through it edge by edge.
-      return;
-    }
+  if (timed) [[unlikely]] {
+    ++phase_fast_forward_.calls;
+    ++phase_fast_forward_.timed_calls;
+    phase_fast_forward_.wall_ns += ElapsedNs(t0, std::chrono::steady_clock::now());
   }
 }
 
-void Simulator::Run(Cycle cycles) {
+bool Simulator::RunLoop(Cycle end, const std::function<bool()>* done) {
   if (elaboration_ != nullptr && !preflight_done_) [[unlikely]] {
     RunPreFlight();
   }
-  const Cycle end = now_ + cycles;
-  while (now_ < end) {
-    const Cycle window = ProfiledQuiescentWindow(end - now_);
-    if (window > 0) {
-      FastForward(window);
-    } else if (FlatSpanEligible()) {
-      RunFlatSpan(end, nullptr);
-    } else {
-      Step();
-    }
+  if (!routes_built_) [[unlikely]] {
+    BuildWakeRoutes();
   }
-}
-
-bool Simulator::RunUntil(const std::function<bool()>& done, Cycle limit) {
-  if (elaboration_ != nullptr && !preflight_done_) [[unlikely]] {
-    RunPreFlight();
-  }
-  const Cycle end = now_ + limit;
+  // QuiescentWindow answers 0 whenever a slot pins the next edge, so
+  // skipping the scan while the last edge left one pinned takes exactly the
+  // decisions a scan before every edge would. Nothing between Run calls can
+  // unpin a slot (only a sweep moves slot state), so the count carries over.
   while (now_ < end) {
-    if (done()) {
-      return true;
-    }
     // `done` is a pure function of simulation state (header contract), so it
     // cannot flip inside a quiescent window: checking once per executed edge
     // or jump is exactly equivalent to checking every cycle.
-    const Cycle window = ProfiledQuiescentWindow(end - now_);
-    if (window > 0) {
-      FastForward(window);
-    } else if (FlatSpanEligible()) {
-      RunFlatSpan(end, &done);
-    } else {
-      Step();
+    if (done != nullptr && (*done)()) {
+      return true;
     }
+    if (pinned_ == 0) {
+      const Cycle window = ProfiledQuiescentWindow(end - now_);
+      if (window > 0) {
+        FastForward(window);
+        continue;
+      }
+    }
+    Step();
   }
-  return done();
+  return done != nullptr && (*done)();
+}
+
+void Simulator::Run(Cycle cycles) { RunLoop(now_ + cycles, nullptr); }
+
+bool Simulator::RunUntil(const std::function<bool()>& done, Cycle limit) {
+  return RunLoop(now_ + limit, &done);
 }
 
 usize Simulator::live_process_count() const {
@@ -657,7 +613,6 @@ SimProfile Simulator::ProfileReport() const {
   profile.commit_sweep = phase_commit_;
   profile.quiescence_scan = phase_scan_;
   profile.fast_forward = phase_fast_forward_;
-  profile.flat_span = phase_flat_;
   profile.processes.reserve(processes_.size());
   for (usize i = 0; i < processes_.size(); ++i) {
     ProcessProfile entry;

@@ -9,10 +9,21 @@
 // for NetFPGA SUME, 250 MHz for the P4FPGA baseline, §5.3) converts cycle
 // counts to wall-clock latency.
 //
-// --- Busy-path kernel (emu-speed) ---
+// --- Two semantics, one run loop ---
 //
-// The per-edge loop is organized around three structures that keep the busy
-// path (saturated load, fast-forward never fires) out of pointer-chasing:
+// The simulator has exactly two ways to execute: the reference semantics
+// (SetFastPath(false), or StepInstrumented while a HazardMonitor is
+// attached) executes every edge and evaluates every parked predicate on
+// every edge; the fast path (the default) produces bit-identical results
+// with less work. Both go through the same Run/RunUntil loop. That loop
+// executes edges back to back and only scans for a quiescent window (below)
+// when the previous edge left no slot *pinning* the next one — a process
+// left runnable, one parked afresh (its predicate is still unevaluated), or
+// one whose sleep ends on the next edge. The scan could only answer "0"
+// while a slot is pinned, so skipping it changes no decision: the same
+// edges execute and the same windows are jumped.
+//
+// --- Busy-path structures ---
 //
 //   * Scheduling state lives in a struct-of-arrays Slot table owned by the
 //     Simulator, not in each coroutine's promise. A process's promise fields
@@ -22,37 +33,35 @@
 //     per process per edge. Sleeps are absolute wake cycles (no per-edge
 //     decrement), which also makes FastForward O(1).
 //
-//   * Commits are demand-driven. Elements whose mutators announce themselves
-//     (SyncFifo, Reg, Bram, Cam — RegisterClocked(self_announcing=true))
-//     are committed only on edges where they actually buffered something
-//     (AnnounceDirty → dirty queue); a clean element's Commit() is an
-//     idempotent no-op by kernel invariant, so skipping it is invisible.
-//     Elements that never announce stay on the unconditional commit list.
+//   * Commits are demand-driven. Every Clocked element's mutators announce
+//     the clean→dirty transition (AnnounceDirty), and an edge commits only
+//     the announced elements; a clean element's Commit() is an idempotent
+//     no-op by kernel invariant, so skipping it is invisible. The dirty
+//     queue is therefore the whole truth about pending commits.
 //
 //   * Coroutine frames bump-allocate from the Simulator's arena when design
 //     construction is wrapped in a CoroFrameArenaScope (NetFpgaPipeline does
 //     this), packing a pipeline's frames contiguously.
 //
-// EnableFlatSchedule() pre-elaborates a static design (every process IO-
-// declared, ElabGraph::StaticSchedule succeeds) into a flat scheduled edge
-// loop: Run/RunUntil then execute RunFlatSpan — the same sweep/commit pair
-// without the per-edge dispatch overhead — and wake notifications route to
-// the declared watcher set of the mutated element (NotifyWakeFor) instead of
-// invalidating every parked predicate. Anything that demands per-edge
-// observation (EdgeObservers, HazardMonitor, SetFastPath(false)) falls back
-// to dynamic dispatch, including mid-run attachment.
+//   * Routed wakes. When every registered process has declared its IO
+//     (elab::IoDecl), the first Run/RunUntil builds an element→watcher table
+//     straight from the catalog, and NotifyWakeFor re-polls only the
+//     processes that declared IO on the mutated element instead of
+//     invalidating every parked predicate. Registering a process afterwards
+//     turns routing off (its IO is undeclared); global NotifyWake still
+//     reaches everyone either way.
 //
 // --- Quiescence-aware fast path ---
 //
-// Run()/RunUntil() additionally fast-forward over *quiescent windows*:
-// spans of cycles in which every live process is either sleeping off a
-// PauseFor or parked on a WaitUntil predicate that provably cannot have
-// changed. During such a window no process body runs, so no next-state is
-// written, and every Commit() in the kernel is idempotent on clean state —
-// skipping the edges entirely (processes, commits and all) is therefore
-// invisible: now() advances in one jump and every observable (egress,
-// digests, hazard reports, VCD, fault logs) is bit-identical to stepping
-// edge by edge. The window is clamped by
+// Run()/RunUntil() fast-forward over *quiescent windows*: spans of cycles in
+// which every live process is either sleeping off a PauseFor or parked on a
+// WaitUntil predicate that provably cannot have changed, and no element has
+// an announced commit pending. During such a window no process body runs,
+// so no next-state is written, and every Commit() in the kernel is
+// idempotent on clean state — skipping the edges entirely (processes,
+// commits and all) is therefore invisible: now() advances in one jump and
+// every observable (egress, digests, hazard reports, VCD, fault logs) is
+// bit-identical to stepping edge by edge. The window is clamped by
 //   - the earliest PauseFor expiry (min over slot wake cycles),
 //   - forced wakes (RequestWakeAt: FIFO stall expiries),
 //   - the next tick an attached FaultRegistry must sample (armed
@@ -69,18 +78,18 @@
 // re-evaluation. With wake routing active a mutation instead marks only the
 // element's declared watchers stale — extra marks cost a predicate poll,
 // never a missed resume, because watcher sets come from the same IO
-// declarations the equivalence suite validates. With the fast path off (or
+// declarations the equivalence suites validate. With the fast path off (or
 // a monitor attached) predicates are evaluated on every edge — the
-// reference semantics the equivalence suite (tests/kernel_equiv_test.cc)
-// checks the fast path against.
+// reference semantics the equivalence suites (tests/kernel_equiv_test.cc,
+// tests/busy_path_test.cc) check the fast path against.
 #ifndef SRC_HDL_SIMULATOR_H_
 #define SRC_HDL_SIMULATOR_H_
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -111,13 +120,6 @@ class Clocked {
   virtual ~Clocked();
   virtual void Commit() = 0;
 
-  // True when the next Commit() would apply buffered state (a written Reg, a
-  // pending FIFO push, a buffered BRAM/CAM write, ...). The scheduler only
-  // fast-forwards across a quiescent window when every registered element
-  // reports no pending commit; the conservative default pins subclasses that
-  // do not implement the query to exact per-edge stepping.
-  virtual bool CommitPending() const { return true; }
-
  private:
   friend class Simulator;
   // Set while the element sits on its Simulator's dirty commit queue
@@ -146,9 +148,11 @@ struct ProcessProfile {
   u64 cycles_awake = 0;  // edges the scheduler did work for it (resume or poll)
   u64 polls = 0;         // parked-predicate evaluations
   // Wall time inside resumes. Exact under ProfilingMode::kFull; under
-  // kSampled only resumes on timed edges carry the clock pair, so this is a
-  // 1-in-stride sample of the true total (scale by sample_stride for an
-  // estimate). Zero when profiling is off.
+  // kSampled the resumes of one edge in sample_stride carry a clock pair, so
+  // this is a 1-in-stride sample of the true total (scale by sample_stride
+  // for an estimate). Those edges are not the ones the phase clocks time, so
+  // the per-resume clock reads never inflate a phase estimate. Zero when
+  // profiling is off.
   u64 wall_ns = 0;
 };
 
@@ -193,7 +197,6 @@ struct SimProfile {
   PhaseProfile commit_sweep;      // CommitEdge: unconditional list + dirty queue
   PhaseProfile quiescence_scan;   // QuiescentWindow calls from Run/RunUntil
   PhaseProfile fast_forward;      // FastForward jumps (always timed when enabled)
-  PhaseProfile flat_span;         // RunFlatSpan bodies, inclusive of their sweeps/commits
   std::vector<ProcessProfile> processes;
   // True when the report carries actual wall-clock phase data (profiling was
   // on AND at least one phase was timed) — callers printing a phase table
@@ -201,7 +204,7 @@ struct SimProfile {
   bool populated() const {
     return profiling_enabled &&
            (edges_timed > 0 || quiescence_scan.timed_calls > 0 ||
-            fast_forward.timed_calls > 0 || flat_span.timed_calls > 0);
+            fast_forward.timed_calls > 0);
   }
 };
 
@@ -226,21 +229,19 @@ class Simulator {
   // its read/write sets.
   usize AddProcess(HwProcess process, std::string name);
 
-  // Clocked elements register themselves on construction. `self_announcing`
-  // elements promise that every mutation that can leave them with a pending
-  // commit calls AnnounceDirty(); the scheduler then commits them only on
-  // dirty edges. Elements registered without the promise are committed on
-  // every executed edge (the conservative default).
+  // Clocked elements register themselves on construction and promise that
+  // every mutation that can leave them with a pending commit calls
+  // AnnounceDirty(); the scheduler commits them only on dirty edges.
   //
   // LIFETIME RULE: a Clocked element and its Simulator may be destroyed in
   // either order, but Step() must never run after any registered element has
   // died (element destructors deliberately do not unregister, so a design
   // and its simulator can be torn down together in any member order).
   // UnregisterClocked exists for dynamic reconfiguration of a live design.
-  void RegisterClocked(Clocked* element, bool self_announcing = false);
+  void RegisterClocked(Clocked* element);
   void UnregisterClocked(Clocked* element);
 
-  // Enqueues a self-announcing element for commit on the current edge.
+  // Enqueues an element for commit on the current edge.
   // Idempotent per edge; called by the element's mutators on the clean→dirty
   // transition.
   void AnnounceDirty(Clocked* element) {
@@ -275,7 +276,6 @@ class Simulator {
   // mutated state has no cataloged identity (or from testbench context);
   // element mutators use NotifyWakeFor so routed mode can scope the wake.
   void NotifyWake() { ++wake_epoch_; }
-  u64 wake_epoch() const { return wake_epoch_; }
 
   // Announces a mutation of element `element` (its catalog identity — the
   // address it registered under, e.g. `this` for a SyncFifo, the
@@ -288,13 +288,19 @@ class Simulator {
       ++wake_epoch_;
       return;
     }
-    auto it = wake_routes_.find(element);
-    if (it == wake_routes_.end()) {
-      ++wake_epoch_;
-      return;
-    }
-    for (u32 watcher : it->second) {
-      sched_[watcher].routed_stale = true;
+    const usize mask = wake_routes_.size() - 1;
+    for (usize i = WakeRouteHome(element);; i = (i + 1) & mask) {
+      const WakeRoute& route = wake_routes_[i];
+      if (route.count == 0) {
+        ++wake_epoch_;  // an identity the table has never seen
+        return;
+      }
+      if (route.element == element) {
+        for (u32 k = 0; k < route.count; ++k) {
+          sched_[wake_watchers_[route.first + k]].routed_stale = true;
+        }
+        return;
+      }
     }
   }
 
@@ -305,8 +311,7 @@ class Simulator {
 
   // Toggles the quiescence fast path (default on). With it off Run/RunUntil
   // execute every edge and evaluate every parked predicate per edge — the
-  // reference semantics the equivalence suite compares against. Also
-  // disables the flat-scheduled loop (which is lazy by construction).
+  // reference semantics the equivalence suites compare against.
   void SetFastPath(bool enabled) { fast_path_ = enabled; }
   bool fast_path() const { return fast_path_; }
 
@@ -333,19 +338,17 @@ class Simulator {
   // --- Profiler ---
   // Resume/poll counts are always collected (they are a handful of
   // increments per edge); wall-clock attribution is off by default because
-  // kFull adds two steady_clock reads per resume. kSampled times one edge in
-  // `sample_stride` (phases and per-resume attribution alike), amortizing
-  // the clock reads to ~3/stride per edge — cheap enough to leave on for
-  // soak runs (bench/microbench_kernel --profile-overhead gates it ≤5%).
+  // kFull adds two steady_clock reads per resume. kSampled times the phases
+  // on one edge in `sample_stride` and the per-process resumes on another,
+  // so the per-resume clock reads stay out of the phase estimates and the
+  // clock reads amortize to a few per stride edges — cheap enough to leave
+  // on for soak runs (bench/microbench_kernel --profile-overhead gates it
+  // ≤5%).
   void SetProfilingMode(ProfilingMode mode, u64 sample_stride = kDefaultProfilingStride) {
     profiling_mode_ = mode;
     sample_stride_ = mode == ProfilingMode::kFull ? 1 : (sample_stride == 0 ? 1 : sample_stride);
   }
   ProfilingMode profiling_mode() const { return profiling_mode_; }
-  // Back-compat sugar: EnableProfiling(true) is the historical full mode.
-  void EnableProfiling(bool enabled) {
-    SetProfilingMode(enabled ? ProfilingMode::kFull : ProfilingMode::kOff);
-  }
   SimProfile ProfileReport() const;
 
   static constexpr u64 kDefaultProfilingStride = 64;
@@ -379,23 +382,11 @@ class Simulator {
   // equivalence suite proves adoption is bit-exact for race-free designs.
   // Processes registered after adoption append to the end of the order.
   void AdoptSchedule(std::vector<usize> order);
-  void ClearSchedule() {
-    order_.clear();
-    flat_schedule_ = false;
-    DisableWakeRouting();
-  }
   bool has_schedule() const { return !order_.empty(); }
 
-  // Pre-elaborates the constructed design into the flat scheduled edge loop:
-  // requires every process IO-declared (fully_declared) and an acyclic
-  // declared comb graph (StaticSchedule().ok). On success adopts the static
-  // order, builds the element→watcher wake route table, and arms the flat
-  // span for Run/RunUntil. Returns false (leaving dynamic dispatch in place)
-  // when the design does not qualify. Registering a process afterwards
-  // conservatively disables wake routing (its IO is undeclared); attaching
-  // an EdgeObserver or HazardMonitor falls back per-edge without disabling.
-  bool EnableFlatSchedule();
-  bool flat_schedule() const { return flat_schedule_; }
+  // True while NotifyWakeFor routes to declared watchers (see the header
+  // comment): set by the first Run/RunUntil when every process is
+  // IO-declared, cleared by a later AddProcess.
   bool wake_routing_active() const { return wake_routes_active_; }
 
   // Arena backing the design's coroutine frames; wrap process construction
@@ -461,40 +452,30 @@ class Simulator {
   // Resumes/polls every due process once (one edge's worth of process work).
   // `lazy` enables epoch/route-based parked-predicate skipping; `timed`
   // wraps each resume in a steady_clock pair (per-process wall attribution).
-  // Returns the number of resumes + predicate polls performed (0 = the edge
-  // was quiescent).
-  u64 SweepProcesses(bool lazy, bool timed);
+  // Returns the number of slots pinning the next edge (see pinned_).
+  usize SweepProcesses(bool lazy, bool timed);
 
-  // Commits the unconditional list then drains the dirty queue.
+  // Drains the dirty queue.
   void CommitEdge();
 
   // One edge's sweep + commit with phase accounting (profiling_mode_ !=
-  // kOff): counts every edge, times one in sample_stride_. Returns the
-  // sweep's activity count.
-  u64 ProfiledSweepAndCommit(bool lazy);
+  // kOff): counts every edge, times the phases on one edge in
+  // sample_stride_ and the per-process resumes on another. Returns the
+  // sweep's pinned count.
+  usize ProfiledSweepAndCommit(bool lazy);
 
   // QuiescentWindow with phase accounting; falls through to the plain scan
   // when profiling is off.
   Cycle ProfiledQuiescentWindow(Cycle budget);
 
-  // True when Run/RunUntil may enter the flat scheduled span.
-  bool FlatSpanEligible() const {
-    if (!flat_schedule_ || !fast_path_ || !edge_observers_.empty()) {
-      return false;
-    }
-#ifdef EMU_ANALYSIS
-    if (monitor_ != nullptr || dead_clocked_ > 0) {
-      return false;
-    }
-#endif
-    return true;
-  }
+  // The Run/RunUntil loop: executes edges until `end` or until `done` (when
+  // non-null) holds, fast-forwarding quiescent windows. Returns whether
+  // `done` held.
+  bool RunLoop(Cycle end, const std::function<bool()>* done);
 
-  // Executes edges back-to-back (no per-edge Run dispatch) until `end`,
-  // `done` (when non-null), a quiescent edge (activity == 0 — the caller
-  // then re-consults QuiescentWindow), or a mid-span fallback trigger
-  // (observer/monitor attached during an edge).
-  void RunFlatSpan(Cycle end, const std::function<bool()>* done);
+  // Builds the element→watcher wake route table from the catalog's IO
+  // declarations and activates routing, unless some process is undeclared.
+  void BuildWakeRoutes();
 
   // Drops the wake route table and forces a global re-evaluation epoch.
   void DisableWakeRouting() {
@@ -553,9 +534,8 @@ class Simulator {
   elab::Catalog catalog_;
   elab::Elaboration* elaboration_ = nullptr;
   bool preflight_done_ = false;
-  std::vector<Clocked*> clocked_;         // every registered element (master list)
-  std::vector<Clocked*> always_commit_;   // subset committed on every edge
-  std::vector<Clocked*> dirty_;           // self-announcing elements pending commit
+  std::vector<Clocked*> clocked_;  // every registered element (master list)
+  std::vector<Clocked*> dirty_;    // elements pending commit
   HazardMonitor* monitor_ = nullptr;
   isize current_process_ = -1;
   usize dead_clocked_ = 0;
@@ -567,11 +547,32 @@ class Simulator {
   FaultRegistry* fault_registry_ = nullptr;
   EventScheduler* event_scheduler_ = nullptr;
   std::vector<EdgeObserver*> edge_observers_;
+  // Slots the last executed edge left pinning the next one: runnable, parked
+  // afresh, or sleeping until the next edge. Only a sweep moves slot state,
+  // so a pinned slot stays pinned until the next edge runs and
+  // QuiescentWindow would answer 0. A lower bound (0 after an instrumented
+  // edge), which only costs a scan.
+  usize pinned_ = 0;
 
-  // Flat schedule state.
-  bool flat_schedule_ = false;
+  // Wake routing state.
+  bool routes_built_ = false;  // the first Run/RunUntil tried BuildWakeRoutes
   bool wake_routes_active_ = false;
-  std::unordered_map<const void*, std::vector<u32>> wake_routes_;
+  // Element -> watcher table, open-addressed (power-of-two size, linear
+  // probing, count == 0 marks an empty slot) so NotifyWakeFor costs one
+  // multiply and usually one probe. Each entry names its run of watcher
+  // process indices in wake_watchers_.
+  struct WakeRoute {
+    const void* element = nullptr;
+    u32 first = 0;
+    u32 count = 0;
+  };
+  std::vector<WakeRoute> wake_routes_;
+  std::vector<u32> wake_watchers_;
+  u32 wake_route_shift_ = 0;  // 64 - log2(wake_routes_.size())
+  usize WakeRouteHome(const void* element) const {
+    const u64 key = reinterpret_cast<std::uintptr_t>(element);
+    return static_cast<usize>((key * 0x9E3779B97F4A7C15ull) >> wake_route_shift_);
+  }
 
   // Profiler state. Counters (edges_run_ &c.) are always maintained; the
   // phase accumulators only move while profiling_mode_ != kOff.
@@ -584,7 +585,6 @@ class Simulator {
   PhaseProfile phase_commit_;
   PhaseProfile phase_scan_;
   PhaseProfile phase_fast_forward_;
-  PhaseProfile phase_flat_;
   std::vector<ProcessStats> stats_;
   u64 edges_run_ = 0;
   u64 cycles_fast_forwarded_ = 0;

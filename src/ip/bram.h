@@ -33,7 +33,6 @@ class Bram : public Module, public Clocked {
   void InjectBitFlip(u64 bit);
 
   void Commit() override;
-  bool CommitPending() const override { return !pending_.empty(); }
 
  private:
   struct PendingWrite {

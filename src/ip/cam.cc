@@ -12,7 +12,7 @@ Cam::Cam(Simulator& sim, std::string name, usize entries, usize key_bits, usize 
   assert(entries > 0);
   assert(key_bits > 0 && key_bits <= 64);
   AddResources(CamIpResources(entries, key_bits, value_bits));
-  sim.RegisterClocked(this, /*self_announcing=*/true);
+  sim.RegisterClocked(this);
   // Register the CamInterface subobject address: designs that hold the CAM
   // behind a unique_ptr<CamInterface> declare IO with that pointer, which
   // differs numerically from `this` under multiple inheritance.

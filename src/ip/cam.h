@@ -68,7 +68,6 @@ class Cam : public Module, public CamInterface, public Clocked {
   u64 state_bits() const { return static_cast<u64>(slots_.size()) * (1 + key_bits_); }
 
   void Commit() override;
-  bool CommitPending() const override { return !pending_.empty(); }
 
  private:
   struct Slot {

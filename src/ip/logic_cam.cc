@@ -12,7 +12,7 @@ LogicCam::LogicCam(Simulator& sim, std::string name, usize entries, usize key_bi
   assert(entries > 0);
   assert(key_bits > 0 && key_bits <= 64);
   AddResources(LogicCamResources(entries, key_bits, value_bits));
-  sim.RegisterClocked(this, /*self_announcing=*/true);
+  sim.RegisterClocked(this);
   // CamInterface subobject address, for the same reason as Cam.
   sim.catalog().AddElement(static_cast<const CamInterface*>(this), elab::NodeKind::kCam,
                            this->name());

@@ -29,7 +29,6 @@ class LogicCam : public Module, public CamInterface, public Clocked {
   void Invalidate(usize index) override;
 
   void Commit() override;
-  bool CommitPending() const override { return !pending_.empty(); }
 
  private:
   struct Slot {

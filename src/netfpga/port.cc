@@ -45,8 +45,10 @@ Cycle TenGigPort::Deliver(Packet frame, Cycle earliest) {
   }
   wire_.push_back(WireFrame{std::move(frame), complete});
   // The wire deque is not a SyncFifo, so announce the mutation ourselves: a
-  // parked ingress process must re-evaluate its wait.
-  sim().NotifyWake();
+  // parked ingress process must re-evaluate its wait. It is the wire's only
+  // watcher and a declared rx_fifo_ pusher, so the FIFO's identity routes
+  // the wake to it.
+  sim().NotifyWakeFor(&rx_fifo_);
   return complete;
 }
 

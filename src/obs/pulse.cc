@@ -125,8 +125,6 @@ std::string SimProfileJson(const SimProfile& profile) {
   AppendPhase(out, "quiescence_scan", profile.quiescence_scan);
   out += ',';
   AppendPhase(out, "fast_forward", profile.fast_forward);
-  out += ',';
-  AppendPhase(out, "flat_span", profile.flat_span);
   out += "},\"processes\":[";
   u64 total_resumes = 0;
   u64 total_polls = 0;
@@ -188,7 +186,6 @@ std::string FormatSimProfileTable(const SimProfile& profile) {
   row("commit_sweep", profile.commit_sweep);
   row("quiescence_scan", profile.quiescence_scan);
   row("fast_forward", profile.fast_forward);
-  row("flat_span", profile.flat_span);
   // Per-process rows, hottest first; skip processes that never resumed.
   std::vector<const ProcessProfile*> hot;
   hot.reserve(profile.processes.size());

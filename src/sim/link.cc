@@ -8,13 +8,6 @@
 
 namespace emu {
 
-void Link::EnableImpairment(FaultRegistry& registry, const std::string& name) {
-  assert(!remote_a_ && !remote_b_ &&
-         "shared impairment and cross-shard routing are mutually exclusive; "
-         "use the per-direction EnableImpairment overload");
-  impairer_ = std::make_unique<FrameImpairer>(registry, name);
-}
-
 void Link::EnableImpairment(bool to_b, FaultRegistry& registry, const std::string& name) {
   std::unique_ptr<FrameImpairer>& slot = to_b ? impairer_to_b_ : impairer_to_a_;
   assert(slot == nullptr && "direction already impaired");
@@ -22,9 +15,6 @@ void Link::EnableImpairment(bool to_b, FaultRegistry& registry, const std::strin
 }
 
 void Link::RouteRemote(bool to_b, EventScheduler& sender, u64 link_id, RemoteSink sink) {
-  assert(impairer_ == nullptr &&
-         "shared impairment and cross-shard routing are mutually exclusive; "
-         "use the per-direction EnableImpairment overload");
   RemoteRoute& route = to_b ? remote_b_ : remote_a_;
   route = RemoteRoute{&sender, link_id, 0, std::move(sink)};
 }

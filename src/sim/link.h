@@ -1,7 +1,7 @@
 // Point-to-point link with bandwidth and propagation delay.
 //
 // A link delivers every frame perfectly unless impairment is enabled:
-// EnableImpairment attaches a FrameImpairer whose fault points
+// EnableImpairment attaches a per-direction FrameImpairer whose fault points
 // (`<name>.drop` / `.corrupt` / `.dup` / `.reorder` / `.delay`) are armed
 // through a FaultRegistry plan. With the points disarmed the link's timing
 // and delivery are bit-identical to an unimpaired link.
@@ -57,32 +57,20 @@ class Link {
   void SendToB(Packet frame) { Transmit(std::move(frame), /*to_b=*/true); }
   void SendToA(Packet frame) { Transmit(std::move(frame), /*to_b=*/false); }
 
-  // Registers this link's impairment fault points as `<name>.*` in the
-  // registry. Both directions share the points and counters.
-  // Mutually exclusive with RouteRemote: a shared impairer's RNG streams are
-  // sampled in frame order, which two sender shards cannot reproduce.
-  void EnableImpairment(FaultRegistry& registry, const std::string& name);
-
-  // Per-direction impairment (`<name>.*` points owned by that direction
-  // alone). This form COMPOSES with cross-shard routing: each direction's
-  // points are sampled only in Transmit, which runs on that direction's
-  // sending shard in its deterministic event order, so the streams replay
-  // bit-exactly for any thread count. The two directions must use distinct
-  // names — sharing a prefix would share FaultPoints (and their RNG streams)
-  // across two sender shards, which is exactly the race the shared form's
-  // exclusivity rule exists to prevent.
+  // Registers one direction's impairment fault points as `<name>.*` in the
+  // registry (points owned by that direction alone). Impairment composes
+  // with cross-shard routing: each direction's points are sampled only in
+  // Transmit, which runs on that direction's sending shard in its
+  // deterministic event order, so the streams replay bit-exactly for any
+  // thread count. The two directions must use distinct names — sharing a
+  // prefix would share FaultPoints (and their RNG streams) across two sender
+  // shards.
   void EnableImpairment(bool to_b, FaultRegistry& registry, const std::string& name);
 
-  bool impaired() const {
-    return impairer_ != nullptr || impairer_to_b_ != nullptr || impairer_to_a_ != nullptr;
-  }
-  // Only the shared form conflicts with routing; per-direction impairers are
-  // sampled on their own sending shard and compose with it.
-  bool shared_impaired() const { return impairer_ != nullptr; }
-  // The impairer deciding for one direction (direction-owned wins), or null.
+  bool impaired() const { return impairer_to_b_ != nullptr || impairer_to_a_ != nullptr; }
+  // The impairer deciding for one direction, or null.
   FrameImpairer* impairer(bool to_b) {
-    FrameImpairer* directional = to_b ? impairer_to_b_.get() : impairer_to_a_.get();
-    return directional != nullptr ? directional : impairer_.get();
+    return to_b ? impairer_to_b_.get() : impairer_to_a_.get();
   }
 
   // --- Partition gate (emu-gossip) ---
@@ -156,7 +144,6 @@ class Link {
   bool gate_to_a_ = false;
   RemoteRoute remote_a_;  // deliveries toward end A
   RemoteRoute remote_b_;  // deliveries toward end B
-  std::unique_ptr<FrameImpairer> impairer_;       // legacy shared (local links)
   std::unique_ptr<FrameImpairer> impairer_to_b_;  // direction-owned
   std::unique_ptr<FrameImpairer> impairer_to_a_;
 };

@@ -29,9 +29,6 @@ usize ParallelRunner::AddShard(EventScheduler& scheduler) {
 void ParallelRunner::ConnectDirection(Link& link, bool to_b, usize from, usize to) {
   assert(from < shards_.size() && to < shards_.size());
   assert(from != to && "a link direction within one shard needs no routing");
-  assert(!link.shared_impaired() &&
-         "shared impairment and cross-shard routing are mutually exclusive; "
-         "per-direction impairment composes");
   const Picoseconds lookahead = link.MinTransitPs();
   assert(lookahead > 0 && "zero-lookahead link admits no conservative window");
   const u64 link_id = next_link_id_++;

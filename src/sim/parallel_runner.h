@@ -84,8 +84,7 @@ class ParallelRunner {
 
   // Routes `link`'s `to_b` direction across the shard boundary from `from`
   // (where the sender lives) into `to` (where the receiving end's callbacks
-  // run). The link must not carry a shared impairer (per-direction
-  // impairment composes — see Link::EnableImpairment(to_b, ...)), and its
+  // run). Impairment composes (see Link::EnableImpairment); the link's
   // transit floor must be positive — zero lookahead admits no conservative
   // window.
   void ConnectDirection(Link& link, bool to_b, usize from, usize to);

@@ -1,28 +1,30 @@
-// Flat-scheduled busy-path equivalence suite (emu-speed).
+// Busy-path equivalence suite (emu-speed).
 //
-// EnableFlatSchedule() pre-elaborates a fully-declared pipeline into the
-// flat scheduled edge loop (RunFlatSpan): routed wakes, the dirty commit
-// queue, and the pre-baked process order replace per-edge rediscovery. Like
-// the quiescence fast path it is an optimization shortcut, not a semantics
-// change — these tests run saturated workloads (small inter-frame gaps, so
-// the busy path dominates and fast-forward windows are rare) in three modes:
+// On a fully IO-declared pipeline the fast path routes wakes to declared
+// watchers, commits only the dirty queue, and scans for quiescence only
+// after an edge that left no process runnable. Like fast-forwarding itself
+// this is an optimization shortcut, not a semantics change — these tests
+// run saturated workloads (small inter-frame gaps, so the busy path
+// dominates and fast-forward windows are rare) in three modes:
 //
-//   exact    SetFastPath(false): every cycle executes, every predicate is
-//            evaluated per edge — the reference semantics;
-//   dynamic  the default fast path with per-edge dynamic dispatch;
-//   flat     EnableFlatSchedule() + fast path — the shipping busy-path
-//            kernel;
+//   exact     SetFastPath(false): every cycle executes, every predicate is
+//             evaluated per edge — the reference semantics;
+//   fast      the default fast path;
+//   threads4  the fast path driven through RunUntil, the entry point
+//             RunOptions{threads = 4} funnels into (accepted for API
+//             uniformity on a single clock domain, executed on the serial
+//             kernel);
 //
-// and require bit-exact agreement on everything observable. A fourth run
-// drives the flat kernel through RunOptions{threads = 4} (accepted for API
-// uniformity on a single clock domain, executed on the serial kernel) to pin
-// that thread-count requests cannot perturb a pipeline's results.
+// and require bit-exact agreement on everything observable.
 //
-// The suite also pins the fallback contract: attaching an EdgeObserver
-// mid-run must drop the kernel back to gapless per-edge dispatch (the
-// observer sees every cycle) without changing any digest.
+// The suite also pins when wake routing engages and drops, the fast path's
+// exact edge/fast-forward split on the bench/microbench_kernel workloads,
+// and the fallback contract: attaching an EdgeObserver mid-run must drop
+// the kernel back to gapless per-edge execution (the observer sees every
+// cycle) without changing any digest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,7 +33,9 @@
 #include "src/core/metrics.h"
 #include "src/core/targets.h"
 #include "src/fault/fault_plan.h"
+#include "src/hdl/elab_catalog.h"
 #include "src/fault/fault_registry.h"
+#include "src/net/ethernet.h"
 #include "src/net/udp.h"
 #include "src/services/learning_switch.h"
 #include "src/services/memcached_service.h"
@@ -56,10 +60,9 @@ u64 DigestEgress(const std::vector<EgressFrame>& egress) {
 }
 
 enum class Mode {
-  kExact,        // SetFastPath(false)
-  kDynamic,      // default fast path, dynamic dispatch
-  kFlat,         // EnableFlatSchedule + fast path
-  kFlatThreads4  // flat, driven with RunOptions{threads = 4}
+  kExact,    // SetFastPath(false)
+  kFast,     // default fast path
+  kThreads4  // fast path, driven like RunOptions{threads = 4}
 };
 
 struct RunDigest {
@@ -98,29 +101,18 @@ void ExpectEquivalent(const char* label, const RunDigest& got, const RunDigest& 
 }
 
 void Configure(FpgaTarget& target, Mode mode) {
-  switch (mode) {
-    case Mode::kExact:
-      target.sim().SetFastPath(false);
-      break;
-    case Mode::kDynamic:
-      break;
-    case Mode::kFlat:
-    case Mode::kFlatThreads4:
-      // Every stock service pipeline declares its IO; flat elaboration must
-      // succeed, not silently fall back, or this suite measures nothing.
-      ASSERT_TRUE(target.EnableFlatSchedule());
-      ASSERT_TRUE(target.sim().flat_schedule());
-      break;
+  if (mode == Mode::kExact) {
+    target.sim().SetFastPath(false);
   }
 }
 
-// Drives `target.Run(cycles)` except in kFlatThreads4, which advances
-// through RunUntil — the done-predicate entry point the RunOptions overloads
+// Drives `target.Run(cycles)` except in kThreads4, which advances through
+// RunUntil — the done-predicate entry point the RunOptions overloads
 // (RunUntilEgress({.threads = 4, ...})) funnel into. The predicate never
-// holds, so the call runs exactly `cycles` edges while evaluating the
-// predicate on the flat span's per-edge exit path.
+// holds, so the call runs exactly `cycles` cycles while evaluating the
+// predicate before every executed edge.
 void Advance(FpgaTarget& target, Mode mode, Cycle cycles) {
-  if (mode == Mode::kFlatThreads4) {
+  if (mode == Mode::kThreads4) {
     const Cycle deadline = target.sim().now() + cycles;
     target.RunUntil([] { return false; }, cycles);
     EXPECT_EQ(target.sim().now(), deadline);
@@ -268,13 +260,11 @@ FaultDigest RunNatUnderFaultsSaturated(Mode mode) {
 
 void RunAllModes(RunDigest (*workload)(Mode)) {
   const RunDigest exact = workload(Mode::kExact);
-  const RunDigest dynamic = workload(Mode::kDynamic);
-  const RunDigest flat = workload(Mode::kFlat);
-  const RunDigest flat4 = workload(Mode::kFlatThreads4);
+  const RunDigest fast = workload(Mode::kFast);
+  const RunDigest threads4 = workload(Mode::kThreads4);
   ASSERT_GT(exact.egress_count, 0u);
-  ExpectEquivalent("dynamic vs exact", dynamic, exact);
-  ExpectEquivalent("flat vs exact", flat, exact);
-  ExpectEquivalent("flat+threads4 vs exact", flat4, exact);
+  ExpectEquivalent("fast vs exact", fast, exact);
+  ExpectEquivalent("threads4 vs exact", threads4, exact);
 }
 
 TEST(FlatSchedule, LearningSwitchSaturatedBitExact) {
@@ -287,30 +277,25 @@ TEST(FlatSchedule, MemcachedSaturatedBitExact) { RunAllModes(RunMemcachedSaturat
 
 TEST(FlatSchedule, NatUnderFaultPlanSaturatedBitExact) {
   const FaultDigest exact = RunNatUnderFaultsSaturated(Mode::kExact);
-  const FaultDigest dynamic = RunNatUnderFaultsSaturated(Mode::kDynamic);
-  const FaultDigest flat = RunNatUnderFaultsSaturated(Mode::kFlat);
-  const FaultDigest flat4 = RunNatUnderFaultsSaturated(Mode::kFlatThreads4);
+  const FaultDigest fast = RunNatUnderFaultsSaturated(Mode::kFast);
+  const FaultDigest threads4 = RunNatUnderFaultsSaturated(Mode::kThreads4);
   ASSERT_GT(exact.run.egress_count, 0u);
   ASSERT_GT(exact.faults_fired, 0u);
-  ExpectEquivalent("dynamic vs exact", dynamic.run, exact.run);
-  ExpectEquivalent("flat vs exact", flat.run, exact.run);
-  ExpectEquivalent("flat+threads4 vs exact", flat4.run, exact.run);
-  EXPECT_EQ(dynamic.faults_fired, exact.faults_fired);
-  EXPECT_EQ(flat.faults_fired, exact.faults_fired);
-  EXPECT_EQ(flat4.faults_fired, exact.faults_fired);
-  EXPECT_EQ(dynamic.log_digest, exact.log_digest);
-  EXPECT_EQ(flat.log_digest, exact.log_digest);
-  EXPECT_EQ(flat4.log_digest, exact.log_digest);
+  ExpectEquivalent("fast vs exact", fast.run, exact.run);
+  ExpectEquivalent("threads4 vs exact", threads4.run, exact.run);
+  EXPECT_EQ(fast.faults_fired, exact.faults_fired);
+  EXPECT_EQ(threads4.faults_fired, exact.faults_fired);
+  EXPECT_EQ(fast.log_digest, exact.log_digest);
+  EXPECT_EQ(threads4.log_digest, exact.log_digest);
 }
 
 // RunOptions{threads = N} on a single clock domain is accepted for API
 // uniformity and executes on the serial kernel: any N must produce the
-// identical exchange on a flat-scheduled pipeline.
+// identical exchange.
 TEST(FlatSchedule, RunOptionsThreadCountIsUniform) {
   auto exchange = [](usize threads) {
     LearningSwitch service;
     FpgaTarget target(service);
-    EXPECT_TRUE(target.EnableFlatSchedule());
     target.Inject(0, MakeUdpPacket({MacAddress::Broadcast(), kHostMacs[0], kHostIps[0],
                                     Ipv4Address(10, 0, 0, 99), 1, 2},
                                    std::vector<u8>{42}));
@@ -327,10 +312,94 @@ TEST(FlatSchedule, RunOptionsThreadCountIsUniform) {
   EXPECT_EQ(serial.second, threaded.second);
 }
 
+// --- Wake routing ----------------------------------------------------------------
+
+// Every stock service pipeline declares its IO, so the first Run builds the
+// route table on its own — no call, no flag.
+TEST(FlatSchedule, WakeRoutingEngagesOnStockPipelineAfterFirstRun) {
+  LearningSwitch service;
+  FpgaTarget target(service);
+  EXPECT_FALSE(target.sim().wake_routing_active());
+  target.Run(1);
+  EXPECT_TRUE(target.sim().wake_routing_active());
+}
+
+HwProcess SleepForever() { co_await PauseFor(1'000'000'000); }
+
+// A process registered after routing engaged has no IO declaration the
+// table was built from: routing drops for good, and the run stays
+// bit-exact on global wake epochs.
+TEST(FlatSchedule, LateAddProcessDropsWakeRouting) {
+  auto run = [](bool late_process) {
+    LearningSwitch service;
+    FpgaTarget target(service);
+    target.Run(1);
+    EXPECT_TRUE(target.sim().wake_routing_active());
+    if (late_process) {
+      const usize index = target.sim().AddProcess(SleepForever(), "late");
+      elab::IoDecl(target.sim().catalog(), index);  // declared afterwards: still dropped
+      EXPECT_FALSE(target.sim().wake_routing_active());
+    }
+    for (usize i = 0; i < 16; ++i) {
+      const u8 src = static_cast<u8>(i % 4);
+      target.Inject(src, MakeUdpPacket({MacAddress::Broadcast(), kHostMacs[src], kHostIps[src],
+                                        Ipv4Address(10, 0, 0, 99), 1, 2},
+                                       std::vector<u8>{static_cast<u8>(i)}));
+      target.Run(120);
+    }
+    target.Run(5'000);
+    EXPECT_EQ(target.sim().wake_routing_active(), !late_process);
+    return std::make_pair(target.sim().now(), DigestEgress(target.TakeEgress()));
+  };
+  const auto routed = run(false);
+  const auto global = run(true);
+  EXPECT_EQ(routed.first, global.first);
+  EXPECT_EQ(routed.second, global.second);
+}
+
+// --- Edge accounting on the microbench workloads ------------------------------------
+
+struct EdgeSplit {
+  u64 edges_run = 0;
+  u64 cycles_fast_forwarded = 0;
+};
+
+// bench/microbench_kernel's soak shape: teach two MACs, then one unicast
+// frame every `frame_gap` cycles for two million cycles.
+EdgeSplit RunMicrobenchWorkload(Cycle frame_gap) {
+  constexpr Cycle kTotalCycles = 2'000'000;
+  LearningSwitch service;
+  FpgaTarget target(service);
+  const MacAddress a = MacAddress::FromU48(0x020000000001);
+  const MacAddress b = MacAddress::FromU48(0x020000000002);
+  target.Inject(0, MakeEthernetFrame(MacAddress::Broadcast(), a, EtherType::kIpv4, {}));
+  target.Inject(1, MakeEthernetFrame(MacAddress::Broadcast(), b, EtherType::kIpv4, {}));
+  target.Run(50'000);
+  for (Cycle cycle = 0; cycle < kTotalCycles; cycle += frame_gap) {
+    target.Inject(0, MakeEthernetFrame(b, a, EtherType::kIpv4, {}));
+    target.Run(std::min(frame_gap, kTotalCycles - cycle));
+  }
+  const SimProfile profile = target.sim().ProfileReport();
+  return EdgeSplit{profile.edges_run, profile.cycles_fast_forwarded};
+}
+
+// The run loop skips the quiescence scan only where the scan could not have
+// found a window, so the split equals that of a scan before every edge —
+// the split bench/baselines/BENCH_kernel.json records for both workloads.
+TEST(FlatSchedule, MicrobenchEdgeSplitIsPinned) {
+  const EdgeSplit saturated = RunMicrobenchWorkload(10);
+  EXPECT_EQ(saturated.edges_run, 1'999'935u);
+  EXPECT_EQ(saturated.cycles_fast_forwarded, 50'065u);
+  const EdgeSplit idle = RunMicrobenchWorkload(1'000);
+  EXPECT_EQ(idle.edges_run, 32'024u);
+  EXPECT_EQ(idle.cycles_fast_forwarded, 2'017'976u);
+}
+
 // --- Fallback contract -----------------------------------------------------------
 
-// Counts edges; the flat span must not run while one of these is attached,
-// so the count must equal the full gapless cycle range it was attached for.
+// Counts edges; nothing may be fast-forwarded while one of these is
+// attached, so the count must equal the full gapless cycle range it was
+// attached for.
 class EdgeCounter : public EdgeObserver {
  public:
   void OnEdge(Cycle now) override {
@@ -350,14 +419,13 @@ class EdgeCounter : public EdgeObserver {
   Cycle last_ = 0;
 };
 
-// Attaching an EdgeObserver mid-run on a flat-scheduled simulator must fall
-// back to gapless per-edge dispatch for the observed span, keep digests
-// bit-exact, and resume the flat span after detach.
+// Attaching an EdgeObserver mid-run must fall back to gapless per-edge
+// execution for the observed span, keep digests bit-exact, and resume
+// fast-forwarding after detach.
 TEST(FlatSchedule, EdgeObserverMidRunFallsBackToDynamicDispatch) {
   auto run = [](bool observe_middle, EdgeCounter* counter) {
     LearningSwitch service;
     FpgaTarget target(service);
-    EXPECT_TRUE(target.EnableFlatSchedule());
     MetricsRegistry metrics;
     service.RegisterMetrics(metrics);
 
@@ -394,7 +462,7 @@ TEST(FlatSchedule, EdgeObserverMidRunFallsBackToDynamicDispatch) {
   const RunDigest unobserved = run(false, nullptr);
 
   // The observer saw every single edge of its span: 40 injections * 150
-  // cycles, gapless — proof the flat span and fast-forward both stood down.
+  // cycles, gapless — proof fast-forward stood down.
   EXPECT_EQ(counter.count(), 40u * 150u);
   EXPECT_EQ(counter.last() - counter.first() + 1, counter.count());
 

@@ -651,6 +651,67 @@ TEST(LostWakeupRegression, ImpairerDelayedDeliveryBitExact) {
   EXPECT_GT(fast.run.cycles_fast_forwarded, 0u);
 }
 
+// --- Testbench writes between Run calls ------------------------------------------
+//
+// A write made from testbench context is buffered like a process's and must
+// commit on the next executed edge: the fast path may not jump past it.
+// Every element's mutators announce to the dirty queue, the only
+// pending-commit check the quiescence scan makes. A watcher parked on the
+// written state records the cycle the write became visible.
+
+WakeResult RunTestbenchWrite(bool fast_path, const WakeDesign& design) {
+  Simulator sim;
+  sim.SetFastPath(fast_path);
+  auto [pred, mutate] = design(sim);
+  WakeResult result;
+  sim.AddProcess(WakeWatcher(sim, std::move(pred), result), "watcher");
+  sim.Run(50);
+  mutate();
+  sim.Run(450);
+  result.fast_forwarded = sim.ProfileReport().cycles_fast_forwarded;
+  return result;
+}
+
+TEST(KernelEquivalence, TestbenchWritesBetweenRunsCommitOnNextEdge) {
+  using Design = std::pair<std::function<bool()>, std::function<void()>>;
+  const std::vector<std::pair<const char*, WakeDesign>> designs = {
+      {"reg",
+       [](Simulator& sim) {
+         auto reg = std::make_shared<Reg<u32>>(sim, "r", 0u);
+         return Design([reg] { return reg->Read() == 42; }, [reg] { reg->Write(42); });
+       }},
+      {"bram",
+       [](Simulator& sim) {
+         auto bram = std::make_shared<Bram>(sim, "b", 16, 32);
+         return Design([bram] { return bram->Read(3) == 42; }, [bram] { bram->Write(3, 42); });
+       }},
+      {"cam",
+       [](Simulator& sim) {
+         auto cam = std::make_shared<Cam>(sim, "c", 8, 16, 16);
+         return Design([cam] { return cam->Lookup(7).hit; }, [cam] { cam->Write(0, 7, 1); });
+       }},
+      {"logic_cam",
+       [](Simulator& sim) {
+         auto cam = std::make_shared<LogicCam>(sim, "lc", 8, 16, 16);
+         return Design([cam] { return cam->Lookup(7).hit; }, [cam] { cam->Write(0, 7, 1); });
+       }},
+      {"fifo",
+       [](Simulator& sim) {
+         auto fifo = std::make_shared<SyncFifo<int>>(sim, "f", 4, 32);
+         return Design([fifo] { return !fifo->Empty(); }, [fifo] { fifo->Push(7); });
+       }},
+  };
+  for (const auto& [element, design] : designs) {
+    const WakeResult exact = RunTestbenchWrite(false, design);
+    const WakeResult fast = RunTestbenchWrite(true, design);
+    ASSERT_TRUE(exact.woke) << element << ": scenario broken, exact mode never saw the write";
+    EXPECT_EQ(exact.woke_at, 51u) << element;  // committed on the edge at cycle 50
+    EXPECT_TRUE(fast.woke) << element << ": fast path jumped past a buffered write";
+    EXPECT_EQ(fast.woke_at, exact.woke_at) << element;
+    EXPECT_GT(fast.fast_forwarded, 0u) << element;
+  }
+}
+
 // --- Forced wake inside a skipped quiescent window --------------------------------
 //
 // A stall expiry schedules a forced wake that lands in the middle of what
@@ -749,7 +810,7 @@ TEST(ProfileReportTest, CountsResumesAndJumps) {
   SyncFifo<int> fifo(sim, "f", 8, 32);
   std::vector<int> log;
   sim.AddProcess(Consumer(fifo, log, 1), "consumer");
-  sim.EnableProfiling(true);
+  sim.SetProfilingMode(ProfilingMode::kFull);
   fifo.Push(1);
   sim.Run(10'000);
 

@@ -6,6 +6,8 @@
 // soak dashboard renderer, and MetricsSampler edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <optional>
 #include <string>
 #include <utility>
@@ -14,6 +16,7 @@
 #include "src/core/histogram.h"
 #include "src/core/metrics.h"
 #include "src/core/targets.h"
+#include "src/net/ethernet.h"
 #include "src/net/udp.h"
 #include "src/obs/dashboard.h"
 #include "src/obs/pulse.h"
@@ -131,6 +134,57 @@ TEST(SimProfilePulse, ProfilingDoesNotPerturbTheWorkload) {
   EXPECT_EQ(off.egress_digest, full.egress_digest);
   EXPECT_EQ(off.profile.edges_run, full.profile.edges_run);
   EXPECT_EQ(off.profile.cycles_fast_forwarded, full.profile.cycles_fast_forwarded);
+}
+
+// Phase estimate sum ÷ measured Run wall time on the saturated switch (one
+// frame every 10 cycles, as bench/microbench_kernel --saturated drives it).
+double SampledPhaseShareOfRunWall() {
+  LearningSwitch service;
+  FpgaTarget target(service);
+  target.sim().SetProfilingMode(ProfilingMode::kSampled);
+  const MacAddress a = kMacs[0];
+  const MacAddress b = kMacs[1];
+  target.Inject(0, MakeEthernetFrame(MacAddress::Broadcast(), a, EtherType::kIpv4, {}));
+  target.Inject(1, MakeEthernetFrame(MacAddress::Broadcast(), b, EtherType::kIpv4, {}));
+  target.Run(50'000);
+  const SimProfile before = target.sim().ProfileReport();
+  std::chrono::steady_clock::duration run_wall{};
+  for (usize i = 0; i < 30'000; ++i) {
+    target.Inject(0, MakeEthernetFrame(b, a, EtherType::kIpv4, {}));
+    const auto start = std::chrono::steady_clock::now();
+    target.Run(10);
+    run_wall += std::chrono::steady_clock::now() - start;
+  }
+  const SimProfile after = target.sim().ProfileReport();
+  const auto estimate = [](const PhaseProfile& from, const PhaseProfile& to) {
+    PhaseProfile delta;
+    delta.calls = to.calls - from.calls;
+    delta.timed_calls = to.timed_calls - from.timed_calls;
+    delta.wall_ns = to.wall_ns - from.wall_ns;
+    return delta.EstimatedTotalNs();
+  };
+  const double phases = estimate(before.resume_dispatch, after.resume_dispatch) +
+                        estimate(before.commit_sweep, after.commit_sweep) +
+                        estimate(before.quiescence_scan, after.quiescence_scan) +
+                        estimate(before.fast_forward, after.fast_forward);
+  return phases /
+         static_cast<double>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(run_wall).count());
+}
+
+// The phases partition an edge, so their sample-scaled estimates must not
+// add up to much more than the wall time of the Run calls they sit in.
+// Per-process resume clock pairs land on other edges than the phase pairs;
+// if they shared an edge, resume_dispatch alone would bill every sampled
+// resume's clock reads and overshoot the wall. Best of three damps a
+// preempted sample, which the 64× scale-up would otherwise magnify.
+TEST(SimProfilePulse, SampledPhaseEstimatesStayWithinRunWall) {
+  double best = SampledPhaseShareOfRunWall();
+  for (int attempt = 1; attempt < 3 && best > 1.25; ++attempt) {
+    best = std::min(best, SampledPhaseShareOfRunWall());
+  }
+  EXPECT_GT(best, 0.0);
+  EXPECT_LE(best, 1.25);
 }
 
 TEST(SimProfilePulse, JsonAndTableExports) {
