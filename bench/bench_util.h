@@ -1,15 +1,19 @@
-// Shared helpers for the table-regeneration benches: canonical test frames,
-// switch-throughput saturation runs, and fixed-width table printing.
+// Shared helpers for the benches: canonical test frames, switch-throughput
+// saturation runs, fixed-width table printing, and sweep-list parsing.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "src/core/targets.h"
 #include "src/net/ethernet.h"
 #include "src/sim/latency_probe.h"
+#include "src/sim/topology.h"
 
 namespace emu {
 
@@ -112,6 +116,109 @@ inline void PrintHeader(const std::string& title) {
   PrintRule();
   std::printf("%s\n", title.c_str());
   PrintRule();
+}
+
+// --- Thread sweeps (microbench_chain, microbench_gossip) -----------------------
+
+// "1,2,4" -> {1, 2, 4}: every run of decimal digits is one value.
+inline std::vector<usize> ParseList(const std::string& text) {
+  std::vector<usize> values;
+  usize current = 0;
+  bool have = false;
+  for (const char* p = text.c_str();; ++p) {
+    if (*p >= '0' && *p <= '9') {
+      current = current * 10 + static_cast<usize>(*p - '0');
+      have = true;
+    } else {
+      if (have) {
+        values.push_back(current);
+      }
+      current = 0;
+      have = false;
+      if (*p == '\0') {
+        break;
+      }
+    }
+  }
+  return values;
+}
+
+struct SweepCell {
+  bool ok = true;
+  double wall_seconds = 0;
+  u64 events = 0;
+  u64 epochs = 0;
+  u64 digest = 0;
+};
+
+// Runs `world` to quiescence at `threads`, timing it into `cell`.
+inline void TimedRun(TopologyBuilder& world, usize threads, SweepCell& cell) {
+  ParallelRunOptions opts;
+  opts.threads = threads;
+  const auto t0 = std::chrono::steady_clock::now();
+  cell.events = world.Run(opts);
+  cell.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  cell.epochs = world.runner().epochs();
+}
+
+// One row group of a sweep: `run(threads)` per thread count, each cell gated
+// on the digest of a threads=1 twin (the group's own threads=1 cell when the
+// sweep has one), which is also the speedup denominator. Prints a row per
+// cell led by `label` and appends its JSON object, led by `"key": json_value`,
+// to `cells_json`. False on a failed cell or a diverged digest.
+template <typename RunCell>
+bool SweepThreads(const char* key, const std::string& label, const std::string& json_value,
+                  int width, const std::vector<usize>& thread_counts, const RunCell& run,
+                  std::string& cells_json) {
+  bool ok = true;
+  SweepCell serial;
+  bool have_serial = false;
+  for (usize threads : thread_counts) {
+    const SweepCell cell = run(threads);
+    if (!have_serial) {
+      // threads=1 absent from the sweep: measure the serial twin just for the
+      // digest gate and the speedup denominator.
+      serial = threads == 1 ? cell : run(1);
+      have_serial = true;
+    }
+    ok = ok && cell.ok && serial.ok;
+    if (cell.digest != serial.digest) {
+      std::fprintf(stderr, "DIGEST DIVERGENCE %s=%s threads=%zu: %016llx != serial %016llx\n",
+                   key, label.c_str(), threads, static_cast<unsigned long long>(cell.digest),
+                   static_cast<unsigned long long>(serial.digest));
+      ok = false;
+    }
+    const double events_per_sec =
+        cell.wall_seconds > 0 ? static_cast<double>(cell.events) / cell.wall_seconds : 0.0;
+    const double speedup = cell.wall_seconds > 0 ? serial.wall_seconds / cell.wall_seconds : 0.0;
+    std::printf("%-*s %-8zu %12llu %10llu %12.4f %10.2f %10.2f\n", width, label.c_str(), threads,
+                static_cast<unsigned long long>(cell.events),
+                static_cast<unsigned long long>(cell.epochs), cell.wall_seconds,
+                events_per_sec / 1e6, speedup);
+    cells_json += std::string(cells_json.empty() ? "" : ",\n") + "    {\"" + key +
+                  "\": " + json_value + ", \"threads\": " + std::to_string(threads) +
+                  ", \"events\": " + std::to_string(cell.events) +
+                  ", \"epochs\": " + std::to_string(cell.epochs) +
+                  ", \"wall_seconds\": " + bench::FormatJsonNumber(cell.wall_seconds) +
+                  ", \"events_per_sec\": " + bench::FormatJsonNumber(events_per_sec) +
+                  ", \"speedup\": " + bench::FormatJsonNumber(speedup) + "}";
+  }
+  return ok;
+}
+
+// {"benchmark": ..., "workload": {...}, "cells": [...]} at `path`.
+inline bool WriteSweepJson(const std::string& path, const char* benchmark,
+                           const std::string& workload, const std::string& cells_json) {
+  std::ofstream file(path);
+  file << "{\n  \"benchmark\": \"" << benchmark << "\",\n  \"workload\": {" << workload
+       << "},\n  \"cells\": [\n" << cells_json << "\n  ]\n}\n";
+  if (!file) {
+    std::fprintf(stderr, "FAIL: could not write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace emu

@@ -24,3 +24,6 @@ target_link_libraries(microbench_kernel PRIVATE benchmark::benchmark)
 emu_add_bench(microbench_parallel)
 emu_add_bench(microbench_gossip)
 emu_add_bench(microbench_chain)
+# Same scenario code as gossip_soak / chain_soak (src/soak/workloads.h).
+target_link_libraries(microbench_gossip PRIVATE emu_soak)
+target_link_libraries(microbench_chain PRIVATE emu_soak)

@@ -13,20 +13,17 @@
 //   --gap-us N        inter-request gap in simulated us (default 25)
 //   --seed N          workload + fault seed (default 1)
 //   --json PATH       additionally write the sweep as BENCH_chain.json
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.h"
+#include "bench/bench_util.h"
 #include "src/chain/scenario_build.h"
-#include "src/chain/stage_factory.h"
 #include "src/fault/fault_registry.h"
-#include "src/sim/memaslap.h"
+#include "src/soak/soak.h"
+#include "src/soak/workloads.h"
 
 namespace emu {
 namespace {
@@ -37,8 +34,9 @@ struct Pipeline {
 };
 
 // The two canonical shapes: the minimal two-stage chain and the chain_soak
-// four-stage pipeline (filter on the cycle-accurate FPGA target).
-constexpr Pipeline kPipelines[] = {
+// four-stage pipeline (filter on the cycle-accurate FPGA target), driven by
+// the same paced workload as chain_soak (src/soak/workloads.h).
+const Pipeline kPipelines[] = {
     {"nat-pool",
      "topology hub link_delay=1us\n"
      "host client mac=0x020000000c01 ip=192.168.1.10\n"
@@ -46,36 +44,14 @@ constexpr Pipeline kPipelines[] = {
      "stage nat  kind=nat       host=h1 target=cpu queue=16\n"
      "stage pool kind=memcached host=h2 target=cpu queue=32\n"
      "chain client -> nat -> pool\n"},
-    {"filter-nat-cache-pool",
-     "topology hub link_delay=2us\n"
-     "host client mac=0x020000000c01 ip=192.168.1.10\n"
-     "host h1\nhost h2\nhost h3\nhost h4\n"
-     "stage filter kind=filter    host=h1 target=fpga queue=16\n"
-     "stage nat    kind=nat       host=h2 target=cpu  queue=16\n"
-     "stage cache  kind=l1cache   host=h3 target=cpu  queue=32 capacity=64\n"
-     "stage pool   kind=memcached host=h4 target=cpu  queue=32\n"
-     "chain client -> filter -> nat -> cache -> pool\n"},
+    {"filter-nat-cache-pool", soak::kChainSoakSpec},
 };
 
 constexpr usize kPrewarmKeys = 100;
 
-struct CellResult {
-  bool ok = true;
-  double wall_seconds = 0;
-  u64 events = 0;
-  u64 epochs = 0;
-  u64 digest = 0;
-  u64 attempts = 0;
-  u64 shed = 0;
-  u64 replies = 0;
-};
-
-CellResult RunCell(const Pipeline& pipeline, usize threads, usize requests,
-                   u64 gap_us, u64 seed) {
-  CellResult out;
+SweepCell RunCell(const Pipeline& pipeline, usize threads, usize requests, u64 gap_us, u64 seed) {
   FaultRegistry registry(seed);
-  Expected<std::unique_ptr<Scenario>> built =
-      BuildScenarioFromText(pipeline.spec, &registry);
+  Expected<std::unique_ptr<Scenario>> built = BuildScenarioFromText(pipeline.spec, &registry);
   if (!built.ok() || !(*built)->has_chain) {
     std::fprintf(stderr, "pipeline '%s' rejected: %s\n", pipeline.name,
                  built.ok() ? "no chain" : built.status().ToString().c_str());
@@ -83,106 +59,49 @@ CellResult RunCell(const Pipeline& pipeline, usize threads, usize requests,
   }
   Scenario& scenario = **built;
   ChainRuntime& chain = scenario.chain;
+  std::vector<Packet> frames = soak::ChainWorkloadFrames(seed, kPrewarmKeys, requests);
+  const u64 attempts = frames.size();
+  soak::SourceLedger ledger;
+  soak::PaceChainSource(scenario, std::move(frames),
+                        static_cast<Picoseconds>(gap_us) * kPicosPerMicro, ledger);
 
-  MemaslapConfig mc;
-  const MemcachedConfig server = CanonicalMemcachedConfig();
-  mc.server_mac = server.mac;
-  mc.server_ip = server.ip;
-  mc.client_ip = Ipv4Address(192, 168, 1, 10);
-  mc.key_space = kPrewarmKeys;
-  mc.seed = seed;
-  MemaslapLoadgen gen(mc);
-  std::vector<Packet> frames;
-  for (usize i = 0; i < gen.prewarm_count(); ++i) {
-    frames.push_back(gen.PrewarmFrame(i));
-  }
-  for (usize i = 0; i < requests; ++i) {
-    frames.push_back(gen.WorkloadFrame(i));
-  }
-  out.attempts = frames.size();
-
-  EventScheduler& clock = scenario.topology.host(scenario.source_host).scheduler();
-  const Picoseconds gap = static_cast<Picoseconds>(gap_us) * kPicosPerMicro;
-  for (usize i = 0; i < frames.size(); ++i) {
-    clock.At(static_cast<Picoseconds>(i + 1) * gap,
-             [&chain, frame = std::move(frames[i])]() mutable {
-               chain.SourceSend(std::move(frame));
-             });
-  }
-
-  ParallelRunOptions opts;
-  opts.threads = threads;
-  const auto t0 = std::chrono::steady_clock::now();
-  out.events = scenario.Run(opts);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.epochs = scenario.topology.runner().epochs();
+  SweepCell out;
+  TimedRun(scenario.topology, threads, out);
   out.digest = chain.Digest();
-  out.shed = chain.source_shed();
-  out.replies = chain.source_replies();
-
   std::vector<Finding> findings;
   chain.CollectFindings(findings);
   for (const Finding& f : findings) {
     std::fprintf(stderr, "%s\n", f.ToString().c_str());
     out.ok = false;
   }
-  if (out.replies != out.attempts - out.shed) {
+  if (chain.source_replies() != attempts - chain.source_shed()) {
     std::fprintf(stderr, "FLOW pipeline=%s threads=%zu: %llu admitted, %llu replies\n",
                  pipeline.name, threads,
-                 static_cast<unsigned long long>(out.attempts - out.shed),
-                 static_cast<unsigned long long>(out.replies));
+                 static_cast<unsigned long long>(attempts - chain.source_shed()),
+                 static_cast<unsigned long long>(chain.source_replies()));
     out.ok = false;
   }
   return out;
 }
 
-std::vector<usize> ParseList(const char* text) {
-  std::vector<usize> values;
-  usize current = 0;
-  bool have = false;
-  for (const char* p = text;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      current = current * 10 + static_cast<usize>(*p - '0');
-      have = true;
-    } else {
-      if (have) {
-        values.push_back(current);
-      }
-      current = 0;
-      have = false;
-      if (*p == '\0') {
-        break;
-      }
-    }
-  }
-  return values;
-}
-
 int Main(int argc, char** argv) {
-  std::vector<usize> thread_counts = {1, 2, 4};
-  usize requests = 400;
+  std::string threads_text = "1,2,4";
+  u64 requests = 400;
   u64 gap_us = 25;
   u64 seed = 1;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = ParseList(argv[++i]);
-    } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      requests = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--gap-us") == 0 && i + 1 < argc) {
-      gap_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads 1,4] [--requests N] [--gap-us N] [--seed N]"
-                   " [--json PATH]\n",
-                   argv[0]);
-      return 2;
-    }
+  soak::Flags flags;
+  flags.Text("--threads", &threads_text);
+  flags.Number("--requests", &requests);
+  flags.Number("--gap-us", &gap_us);
+  flags.Number("--seed", &seed);
+  flags.Text("--json", &json_path);
+  if (!flags.Parse(argc, argv)) {
+    std::fprintf(stderr,
+                 "usage: %s [--threads 1,4] [--requests N] [--gap-us N] [--seed N]"
+                 " [--json PATH]\n",
+                 argv[0]);
+    return 2;
   }
 
   std::printf("# chain pipelines, %zu requests (+%zu prewarm), gap %llu us, seed %llu\n",
@@ -193,65 +112,20 @@ int Main(int argc, char** argv) {
   bool ok = true;
   std::string cells_json;
   for (const Pipeline& pipeline : kPipelines) {
-    double serial_wall = 0;
-    u64 serial_digest = 0;
-    bool have_serial = false;
-    for (usize threads : thread_counts) {
-      const CellResult cell = RunCell(pipeline, threads, requests, gap_us, seed);
-      ok = ok && cell.ok;
-      if (!have_serial) {
-        if (threads == 1) {
-          serial_wall = cell.wall_seconds;
-          serial_digest = cell.digest;
-        } else {
-          // threads=1 absent from the sweep: measure the serial twin just
-          // for the digest gate and the speedup denominator.
-          const CellResult serial = RunCell(pipeline, 1, requests, gap_us, seed);
-          ok = ok && serial.ok;
-          serial_wall = serial.wall_seconds;
-          serial_digest = serial.digest;
-        }
-        have_serial = true;
-      }
-      if (cell.digest != serial_digest) {
-        std::fprintf(stderr,
-                     "DIGEST DIVERGENCE pipeline=%s threads=%zu: %016llx != serial %016llx\n",
-                     pipeline.name, threads, static_cast<unsigned long long>(cell.digest),
-                     static_cast<unsigned long long>(serial_digest));
-        ok = false;
-      }
-      const double events_per_sec =
-          cell.wall_seconds > 0 ? static_cast<double>(cell.events) / cell.wall_seconds : 0.0;
-      const double speedup = cell.wall_seconds > 0 ? serial_wall / cell.wall_seconds : 0.0;
-      std::printf("%-24s %-8zu %12llu %10llu %12.4f %10.2f %10.2f\n", pipeline.name,
-                  threads, static_cast<unsigned long long>(cell.events),
-                  static_cast<unsigned long long>(cell.epochs), cell.wall_seconds,
-                  events_per_sec / 1e6, speedup);
-      if (!cells_json.empty()) {
-        cells_json += ",\n";
-      }
-      cells_json += "    {\"pipeline\": \"" + std::string(pipeline.name) +
-                    "\", \"threads\": " + std::to_string(threads) +
-                    ", \"events\": " + std::to_string(cell.events) +
-                    ", \"epochs\": " + std::to_string(cell.epochs) +
-                    ", \"wall_seconds\": " + bench::FormatJsonNumber(cell.wall_seconds) +
-                    ", \"events_per_sec\": " + bench::FormatJsonNumber(events_per_sec) +
-                    ", \"speedup\": " + bench::FormatJsonNumber(speedup) + "}";
-    }
+    ok = SweepThreads("pipeline", pipeline.name, "\"" + std::string(pipeline.name) + "\"", 24,
+                      ParseList(threads_text),
+                      [&](usize threads) {
+                        return RunCell(pipeline, threads, requests, gap_us, seed);
+                      },
+                      cells_json) &&
+         ok;
   }
-  if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    file << "{\n  \"benchmark\": \"chain_pipelines\",\n"
-            "  \"workload\": {\"requests\": " +
-                std::to_string(requests) + ", \"prewarm\": " + std::to_string(kPrewarmKeys) +
-                ", \"gap_us\": " + std::to_string(gap_us) +
-                ", \"seed\": " + std::to_string(seed) +
-                "},\n  \"cells\": [\n" + cells_json + "\n  ]\n}\n";
-    if (!file) {
-      std::fprintf(stderr, "FAIL: could not write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+  const std::string workload = "\"requests\": " + std::to_string(requests) +
+                               ", \"prewarm\": " + std::to_string(kPrewarmKeys) +
+                               ", \"gap_us\": " + std::to_string(gap_us) +
+                               ", \"seed\": " + std::to_string(seed);
+  if (!json_path.empty() && !WriteSweepJson(json_path, "chain_pipelines", workload, cells_json)) {
+    return 1;
   }
   if (!ok) {
     std::fprintf(stderr, "FAIL: chain pipeline diverged or lost flow\n");

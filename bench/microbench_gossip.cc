@@ -1,46 +1,35 @@
 // SWIM membership (emu-gossip) throughput benchmark.
 //
-// Sweeps a gossip cluster over hosts x threads: every host of a HubTopology
-// runs a SwimPeer for a fixed span of simulated time under a small chaos
-// plan (one crash + restart, one partition window), and the wall time,
-// executed events, conservative epochs, and parallel-vs-serial speedup are
-// printed per cell. As in microbench_parallel, correctness gates timing:
-// each parallel run must produce the bit-exact membership-event digest of
-// its serial twin, or the binary exits nonzero regardless of speed.
+// Sweeps a gossip cluster over hosts x threads: every host of gossip_soak's
+// hub world (src/soak/workloads.h) runs a SwimPeer for a fixed span of
+// simulated time under a small chaos plan (one crash + restart, one
+// partition window), and the wall time, executed events, conservative
+// epochs, and parallel-vs-serial speedup are printed per cell. As in
+// microbench_parallel, correctness gates timing: each parallel run must
+// produce the bit-exact membership-event digest of its serial twin, or the
+// binary exits nonzero regardless of speed.
 //
 //   --hosts N,N,...   cluster sizes to sweep (default 8,16,32)
 //   --threads N,N,... thread counts (default 1,2,4)
 //   --run-ms N        simulated span per cell (default 100)
 //   --seed N          base seed (default 1)
 //   --json PATH       additionally write the sweep as BENCH_gossip.json
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.h"
+#include "bench/bench_util.h"
+#include "src/chain/scenario_build.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fault_registry.h"
-#include "src/services/swim_service.h"
 #include "src/sim/chaos.h"
-#include "src/sim/topology.h"
+#include "src/soak/soak.h"
+#include "src/soak/workloads.h"
 
 namespace emu {
 namespace {
-
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-struct CellResult {
-  double wall_seconds = 0;
-  u64 events = 0;
-  u64 epochs = 0;
-  u64 digest = 0;
-};
 
 std::string ChaosPlan(usize hosts) {
   // Scale the campaign with the cluster: crash/restart the second host and
@@ -59,21 +48,15 @@ std::string ChaosPlan(usize hosts) {
   return plan;
 }
 
-CellResult RunCell(usize hosts, usize threads, u64 run_ms, u64 seed) {
-  std::vector<SwimMember> members;
-  std::vector<HostSpec> specs;
-  for (usize i = 0; i < hosts; ++i) {
-    SwimMember m{"h" + std::to_string(i),
-                 MacAddress::FromU48(0x02'00'00'00'd0'00ull + i),
-                 Ipv4Address(10, 0, static_cast<u8>(i >> 8), static_cast<u8>(i & 0xff))};
-    specs.push_back(HostSpec{m.name, m.mac, m.ip});
-    members.push_back(std::move(m));
-  }
-  StarTopologyConfig net;
-  net.link_delay = 50 * kPicosPerMicro;
-  HubTopology topo(specs, net);
-
+SweepCell RunCell(usize hosts, usize threads, u64 run_ms, u64 seed) {
   FaultRegistry registry(seed);
+  Expected<std::unique_ptr<Scenario>> built =
+      BuildScenarioFromText(soak::SwimHubSpec(hosts), &registry);
+  if (!built.ok()) {
+    std::fprintf(stderr, "hub spec rejected: %s\n", built.status().ToString().c_str());
+    std::exit(2);
+  }
+  TopologyBuilder& topo = (*built)->topology;
   ChaosDirector director(topo, &registry);
   const Expected<FaultPlan> plan = ParseFaultPlan(ChaosPlan(hosts));
   if (!plan.ok() || !director.Apply(*plan).ok()) {
@@ -83,75 +66,33 @@ CellResult RunCell(usize hosts, usize threads, u64 run_ms, u64 seed) {
 
   SwimConfig config;
   config.run_until = static_cast<Picoseconds>(run_ms) * kPicosPerMilli;
-  std::vector<std::unique_ptr<SwimPeer>> peers;
-  for (usize i = 0; i < hosts; ++i) {
-    peers.push_back(std::make_unique<SwimPeer>(
-        topo.host(i), static_cast<u16>(i), members, config,
-        seed ^ (0x9E37'79B9'7F4A'7C15ull * (i + 1))));
-    peers.back()->Start();
-  }
+  const std::vector<std::unique_ptr<SwimPeer>> peers =
+      soak::StartSwimPeers(topo, hosts, config, seed);
 
-  ParallelRunOptions opts;
-  opts.threads = threads;
-  CellResult out;
-  const auto t0 = std::chrono::steady_clock::now();
-  out.events = topo.Run(opts);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.epochs = topo.runner().epochs();
-  out.digest = kFnvOffset;
-  for (const auto& peer : peers) {
-    out.digest = (out.digest ^ peer->EventsDigest()) * kFnvPrime;
-  }
+  SweepCell out;
+  TimedRun(topo, threads, out);
+  out.digest = soak::SwimDigest(peers);
   return out;
 }
 
-std::vector<usize> ParseList(const char* text) {
-  std::vector<usize> values;
-  usize current = 0;
-  bool have = false;
-  for (const char* p = text;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      current = current * 10 + static_cast<usize>(*p - '0');
-      have = true;
-    } else {
-      if (have) {
-        values.push_back(current);
-      }
-      current = 0;
-      have = false;
-      if (*p == '\0') {
-        break;
-      }
-    }
-  }
-  return values;
-}
-
 int Main(int argc, char** argv) {
-  std::vector<usize> host_counts = {8, 16, 32};
-  std::vector<usize> thread_counts = {1, 2, 4};
+  std::string hosts_text = "8,16,32";
+  std::string threads_text = "1,2,4";
   u64 run_ms = 100;
   u64 seed = 1;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
-      host_counts = ParseList(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = ParseList(argv[++i]);
-    } else if (std::strcmp(argv[i], "--run-ms") == 0 && i + 1 < argc) {
-      run_ms = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--hosts 8,16] [--threads 1,4] [--run-ms N] [--seed N]"
-                   " [--json PATH]\n",
-                   argv[0]);
-      return 2;
-    }
+  soak::Flags flags;
+  flags.Text("--hosts", &hosts_text);
+  flags.Text("--threads", &threads_text);
+  flags.Number("--run-ms", &run_ms);
+  flags.Number("--seed", &seed);
+  flags.Text("--json", &json_path);
+  if (!flags.Parse(argc, argv)) {
+    std::fprintf(stderr,
+                 "usage: %s [--hosts 8,16] [--threads 1,4] [--run-ms N] [--seed N]"
+                 " [--json PATH]\n",
+                 argv[0]);
+    return 2;
   }
 
   std::printf("# SWIM gossip cluster, %llu ms simulated, seed %llu\n",
@@ -161,60 +102,17 @@ int Main(int argc, char** argv) {
               "epochs", "wall_s", "Mev/s", "speedup");
   bool ok = true;
   std::string cells_json;
-  for (usize hosts : host_counts) {
-    double serial_wall = 0;
-    u64 serial_digest = 0;
-    for (usize threads : thread_counts) {
-      const CellResult cell = RunCell(hosts, threads, run_ms, seed);
-      if (threads == 1 || serial_wall == 0) {
-        if (threads != 1) {
-          // threads=1 absent from the sweep: measure the serial twin just
-          // for the digest gate and the speedup denominator.
-          const CellResult serial = RunCell(hosts, 1, run_ms, seed);
-          serial_wall = serial.wall_seconds;
-          serial_digest = serial.digest;
-        } else {
-          serial_wall = cell.wall_seconds;
-          serial_digest = cell.digest;
-        }
-      }
-      if (cell.digest != serial_digest) {
-        std::fprintf(stderr,
-                     "DIGEST DIVERGENCE hosts=%zu threads=%zu: %016llx != serial %016llx\n",
-                     hosts, threads, static_cast<unsigned long long>(cell.digest),
-                     static_cast<unsigned long long>(serial_digest));
-        ok = false;
-      }
-      const double events_per_sec =
-          cell.wall_seconds > 0 ? static_cast<double>(cell.events) / cell.wall_seconds : 0.0;
-      const double speedup = cell.wall_seconds > 0 ? serial_wall / cell.wall_seconds : 0.0;
-      std::printf("%-8zu %-8zu %12llu %10llu %12.4f %10.2f %10.2f\n", hosts, threads,
-                  static_cast<unsigned long long>(cell.events),
-                  static_cast<unsigned long long>(cell.epochs), cell.wall_seconds,
-                  events_per_sec / 1e6, speedup);
-      if (!cells_json.empty()) {
-        cells_json += ",\n";
-      }
-      cells_json += "    {\"hosts\": " + std::to_string(hosts) +
-                    ", \"threads\": " + std::to_string(threads) +
-                    ", \"events\": " + std::to_string(cell.events) +
-                    ", \"epochs\": " + std::to_string(cell.epochs) +
-                    ", \"wall_seconds\": " + bench::FormatJsonNumber(cell.wall_seconds) +
-                    ", \"events_per_sec\": " + bench::FormatJsonNumber(events_per_sec) +
-                    ", \"speedup\": " + bench::FormatJsonNumber(speedup) + "}";
-    }
+  for (usize hosts : ParseList(hosts_text)) {
+    ok = SweepThreads("hosts", std::to_string(hosts), std::to_string(hosts), 8,
+                      ParseList(threads_text),
+                      [&](usize threads) { return RunCell(hosts, threads, run_ms, seed); },
+                      cells_json) &&
+         ok;
   }
-  if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    file << "{\n  \"benchmark\": \"gossip_cluster\",\n"
-            "  \"workload\": {\"run_ms\": " +
-                std::to_string(run_ms) + ", \"seed\": " + std::to_string(seed) +
-                "},\n  \"cells\": [\n" + cells_json + "\n  ]\n}\n";
-    if (!file) {
-      std::fprintf(stderr, "FAIL: could not write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+  const std::string workload =
+      "\"run_ms\": " + std::to_string(run_ms) + ", \"seed\": " + std::to_string(seed);
+  if (!json_path.empty() && !WriteSweepJson(json_path, "gossip_cluster", workload, cells_json)) {
+    return 1;
   }
   if (!ok) {
     std::fprintf(stderr, "FAIL: parallel membership history diverged from serial\n");

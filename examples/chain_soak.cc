@@ -1,11 +1,11 @@
 // chain_soak: an in-network compute pipeline behind a ScenarioSpec (emu-chain).
 //
 // Builds filter -> NAT -> L1 cache -> memcached pool from a declarative
-// scenario spec (specs/chain_soak.spec is the default, embedded below), each
-// stage on its own simulated host and PDES shard, and drives a memaslap-style
-// 90/10 GET/SET workload through the whole chain from the source host. For
-// each seed the soak runs three times — threads=1, threads=T, and a
-// threads=T replay — and gates on:
+// scenario spec (soak::kChainSoakSpec by default, checked in as
+// specs/chain_soak.spec), each stage on its own simulated host and PDES
+// shard, and drives a memaslap-style 90/10 GET/SET workload through the
+// whole chain from the source host. For each seed the soak runs three
+// times — threads=1, threads=T, and a threads=T replay — and gates on:
 //
 //   - flow integrity: every admitted request produced exactly one reply at
 //     the source; the head stage serviced exactly the admitted count; no
@@ -34,13 +34,13 @@
 // gates (e.g. "chain.source.rtt_us.p99 <= 400; chain.loss_rate <= 0.01")
 // against the threads=T run of every seed and makes a breach exit nonzero.
 //
+// Flags, seed lattice, artifacts and SLO exit codes: src/soak/soak.h.
+//
 // Usage:
 //   chain_soak [--seed N] [--seeds N] [--threads N] [--requests N]
 //              [--spec FILE] [--log-dir DIR] [--slo CLAUSES] [--prom FILE]
 //              [--verbose]
 #include <cstdio>
-#include <cstring>
-#include <deque>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -48,60 +48,30 @@
 #include <vector>
 
 #include "src/chain/scenario_build.h"
-#include "src/chain/stage_factory.h"
 #include "src/core/histogram.h"
 #include "src/core/metrics.h"
 #include "src/fault/fault_registry.h"
-#include "src/obs/dashboard.h"
 #include "src/obs/decompose.h"
-#include "src/obs/pulse.h"
 #include "src/obs/sampler.h"
-#include "src/obs/slo.h"
-#include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
-#include "src/sim/memaslap.h"
+#include "src/soak/soak.h"
+#include "src/soak/workloads.h"
 
 namespace emu {
 namespace {
 
-// The default scenario (kept in lockstep with specs/chain_soak.spec): the
-// paper's service portfolio composed into one pipeline, the filter on the
-// cycle-accurate FPGA target, everything else on the CPU target.
-constexpr char kDefaultSpec[] =
-    "topology hub link_delay=2us\n"
-    "host client mac=0x020000000c01 ip=192.168.1.10\n"
-    "host h1\nhost h2\nhost h3\nhost h4\n"
-    "stage filter kind=filter    host=h1 target=fpga queue=16\n"
-    "stage nat    kind=nat       host=h2 target=cpu  queue=16\n"
-    "stage cache  kind=l1cache   host=h3 target=cpu  queue=32 capacity=64\n"
-    "stage pool   kind=memcached host=h4 target=cpu  queue=32\n"
-    "chain client -> filter -> nat -> cache -> pool\n";
-
+constexpr char kTool[] = "chain_soak";
 constexpr usize kPrewarmKeys = 200;
 
 struct SoakOptions {
-  u64 first_seed = 1;
-  u64 seed_count = 3;
-  usize threads = 4;
+  soak::CommonOptions common;  // --slo evaluated on every threads=T run
   usize requests = 300;
   // Four stages each serve a request twice (forward and reply), so 25 us
   // between requests puts per-stage load at ~80% of the 10 us CPU service
   // time: queues visibly fill (nonzero decomposition queue rows) while the
   // source's credit window keeps it from shedding in steady state.
   u64 gap_us = 25;
-  std::string spec_text = kDefaultSpec;
-  std::string log_dir;
-  std::string slo_spec;   // parsed up front; evaluated on every threads=T run
-  std::string prom_path;  // Prometheus exposition of the harness registry
-  u64 sample_interval_us = 100;
-  bool verbose = false;
-};
-
-// What the decomposition gate needs per stage: did both rows populate?
-struct StageDecompositionCheck {
-  std::string stage;
-  u64 queue_count = 0;
-  u64 service_count = 0;
+  std::string spec_text = soak::kChainSoakSpec;
 };
 
 struct RunOutcome {
@@ -117,13 +87,9 @@ struct RunOutcome {
   std::string counters;       // per-stage counter table
   std::string decomposition;  // per-stage latency table
   std::string trace_json;     // Perfetto export (byte-compared across runs)
-  std::vector<StageDecompositionCheck> stage_rows;
-  // emu-pulse artifacts (wall-clock / telemetry; NOT byte-compared):
-  obs::TimeSeriesRecorder series{2048};
-  std::vector<std::pair<std::string, u64>> final_metrics;  // end-of-run snapshot
-  std::string prom_text;          // source telemetry registry exposition
-  std::string pulse_summary_json; // per-shard/per-epoch runner profile
-  std::string pulse_trace_json;   // wall-clock Chrome trace (separate artifact)
+  std::vector<obs::StageDecomposition> stage_rows;  // the decomposition gate's input
+  // Source telemetry registry: series, end-of-run snapshot, exposition.
+  soak::Telemetry telemetry{2048};
 };
 
 RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt) {
@@ -146,24 +112,7 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt) {
   obs::TraceSession trace;
   trace.Install();
 
-  // The workload addresses the memcached VIP (both cache tiers answer to
-  // it); the client IP must sit in the NAT's internal subnet.
-  MemaslapConfig mc;
-  const MemcachedConfig mc_service = CanonicalMemcachedConfig();
-  mc.server_mac = mc_service.mac;
-  mc.server_ip = mc_service.ip;
-  mc.client_ip = Ipv4Address(192, 168, 1, 10);
-  mc.key_space = kPrewarmKeys;
-  mc.seed = seed;
-  MemaslapLoadgen gen(mc);
-
-  std::vector<Packet> frames;
-  for (usize i = 0; i < gen.prewarm_count(); ++i) {
-    frames.push_back(gen.PrewarmFrame(i));
-  }
-  for (usize i = 0; i < opt.requests; ++i) {
-    frames.push_back(gen.WorkloadFrame(i));
-  }
+  std::vector<Packet> frames = soak::ChainWorkloadFrames(seed, kPrewarmKeys, opt.requests);
   out.attempts = frames.size();
 
   ChainRuntime& chain = scenario.chain;
@@ -180,52 +129,34 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt) {
   // outstanding send. Sums and means are exact under any matching; the p50/
   // p99 are the standard passive-measurement approximation.
   Histogram rtt_us;
-  std::deque<Picoseconds> in_flight;
-  u64 sent = 0;
+  soak::SourceLedger ledger;
   MetricsRegistry source_metrics;
-  source_metrics.Register("chain.source.sent", &sent);
+  source_metrics.Register("chain.source.sent", &ledger.sent);
   source_metrics.Register("chain.source.shed", [&chain] { return chain.source_shed(); });
   source_metrics.Register("chain.source.replies", [&chain] { return chain.source_replies(); });
   source_metrics.RegisterGauge("chain.source.in_flight",
-                               [&in_flight] { return static_cast<u64>(in_flight.size()); });
+                               [&ledger] { return static_cast<u64>(ledger.in_flight.size()); });
   source_metrics.RegisterHistogram("chain.source.rtt_us", &rtt_us);
-  chain.SetSourceReplyHandler([&in_flight, &rtt_us, &clock](Packet) {
-    if (!in_flight.empty()) {
-      const Picoseconds sent_at = in_flight.front();
-      in_flight.pop_front();
+  chain.SetSourceReplyHandler([&ledger, &rtt_us, &clock](Packet) {
+    if (!ledger.in_flight.empty()) {
+      const Picoseconds sent_at = ledger.in_flight.front();
+      ledger.in_flight.pop_front();
       rtt_us.Observe(static_cast<u64>((clock.now() - sent_at) / kPicosPerMicro));
     }
   });
+  soak::PaceChainSource(scenario, std::move(frames), gap, ledger);
 
-  for (usize i = 0; i < frames.size(); ++i) {
-    const Picoseconds at = static_cast<Picoseconds>(i + 1) * gap;
-    clock.At(at, [&chain, &in_flight, &sent, at, frame = std::move(frames[i])]() mutable {
-      if (chain.SourceSend(std::move(frame))) {
-        ++sent;
-        in_flight.push_back(at);
-      }
-    });
-  }
-
-  MetricsSampler sampler(source_metrics,
-                         static_cast<Picoseconds>(opt.sample_interval_us) * kPicosPerMicro);
-  sampler.AttachRecorder(&out.series);
+  MetricsSampler sampler(source_metrics, static_cast<Picoseconds>(opt.common.sample_interval_us) *
+                                             kPicosPerMicro);
+  sampler.AttachRecorder(&out.telemetry.series);
   // Sample through the send schedule plus a drain tail for the last replies.
   const Picoseconds sample_until =
-      static_cast<Picoseconds>(frames.size() + 1) * gap + 500 * kPicosPerMicro;
+      static_cast<Picoseconds>(out.attempts + 1) * gap + 500 * kPicosPerMicro;
   sampler.SchedulePeriodic(clock, sample_until);
 
-  obs::RunnerPulse pulse;
-  scenario.topology.runner().AttachPulse(&pulse);
-
-  ParallelRunOptions run_opts;
-  run_opts.threads = threads;
-  out.events_executed = scenario.Run(run_opts);
-
-  out.final_metrics = source_metrics.Snapshot();
-  out.prom_text = source_metrics.PrometheusText();
-  out.pulse_summary_json = pulse.SummaryJson();
-  out.pulse_trace_json = pulse.WallClockTraceJson();
+  out.events_executed = soak::RunWithPulse(scenario.topology, threads, out.telemetry);
+  out.telemetry.final_metrics = source_metrics.Snapshot();
+  out.telemetry.prom_text = source_metrics.PrometheusText();
 
   out.chain_digest = chain.Digest();
   out.log_digest = registry.LogDigest();
@@ -238,12 +169,8 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt) {
   for (usize i = 0; i < chain.stage_count(); ++i) {
     stage_order.push_back(chain.stage(i).name());
   }
-  const std::vector<obs::StageDecomposition> rows =
-      obs::DecomposeChainLatency(trace.MergedEvents(), stage_order);
-  out.decomposition = obs::FormatDecompositionTable(rows);
-  for (const obs::StageDecomposition& row : rows) {
-    out.stage_rows.push_back({row.stage, row.queue.count, row.service.count});
-  }
+  out.stage_rows = obs::DecomposeChainLatency(trace.MergedEvents(), stage_order);
+  out.decomposition = obs::FormatDecompositionTable(out.stage_rows);
 
   std::ostringstream counters;
   for (usize i = 0; i < chain.stage_count(); ++i) {
@@ -260,7 +187,7 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt) {
            << " replies=" << out.source_replies << "\n";
   out.counters = counters.str();
 
-  if (opt.verbose) {
+  if (opt.common.verbose) {
     MetricsRegistry metrics;
     chain.RegisterMetrics(metrics, "chain");
     registry.RegisterMetrics(metrics, "faults");
@@ -284,69 +211,49 @@ std::vector<std::string> CheckInvariants(const RunOutcome& run) {
     violations.push_back("flow: " + std::to_string(admitted) + " requests admitted but " +
                          std::to_string(run.source_replies) + " replies returned");
   }
-  for (const StageDecompositionCheck& row : run.stage_rows) {
-    if (row.queue_count == 0 || row.service_count == 0) {
+  for (const obs::StageDecomposition& row : run.stage_rows) {
+    if (row.queue.count == 0 || row.service.count == 0) {
       violations.push_back("decomposition: stage '" + row.stage +
                            "' has an empty queue or service row (queue=" +
-                           std::to_string(row.queue_count) +
-                           " service=" + std::to_string(row.service_count) + ")");
+                           std::to_string(row.queue.count) +
+                           " service=" + std::to_string(row.service.count) + ")");
     }
   }
   return violations;
 }
 
-bool WriteFileOrWarn(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "chain_soak: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
+soak::Fingerprint Fingerprint(const RunOutcome& run) {
+  return {{run.chain_digest, run.log_digest}, &run.trace_json};
 }
 
-// Lookup for the SLO gate: harness-derived values first (loss_rate), then the
-// end-of-run snapshot of the source telemetry registry (which already expands
-// histogram `.count/.sum/.p50/.p99` views).
+// The SLO gate's harness-derived metric (loss_rate) ahead of the source
+// telemetry snapshot.
 obs::SloLookup MakeSoakLookup(const RunOutcome& run) {
-  return [&run](const std::string& name) -> std::optional<double> {
-    if (name == "chain.loss_rate") {
-      return run.attempts == 0 ? 0.0
-                               : static_cast<double>(run.source_shed) /
-                                     static_cast<double>(run.attempts);
-    }
-    for (const auto& [metric, value] : run.final_metrics) {
-      if (metric == name) {
-        return static_cast<double>(value);
-      }
-    }
-    return std::nullopt;
-  };
+  const double loss_rate = run.attempts == 0 ? 0.0
+                                             : static_cast<double>(run.source_shed) /
+                                                   static_cast<double>(run.attempts);
+  return soak::SnapshotLookup({{"chain.loss_rate", loss_rate}}, run.telemetry.final_metrics);
 }
 
-void WriteSeedArtifacts(const SoakOptions& opt, u64 seed, const RunOutcome& serial,
-                        const RunOutcome& parallel, const RunOutcome& replay,
+void WriteSeedArtifacts(const SoakOptions& opt, u64 seed, const soak::Lattice<RunOutcome>& runs,
                         const std::vector<std::string>& violations,
                         const obs::SloReport& slo) {
-  char digests[256];
-  std::snprintf(digests, sizeof(digests),
-                "chain digest: serial=%016llx threads=%016llx replay=%016llx\n"
-                "log digest:   serial=%016llx threads=%016llx replay=%016llx\n"
+  const RunOutcome& serial = runs.serial;
+  const RunOutcome& parallel = runs.parallel;
+  const RunOutcome& replay = runs.replay;
+  char trace_bytes[128];
+  std::snprintf(trace_bytes, sizeof(trace_bytes),
                 "trace bytes:  serial=%zu threads=%zu replay=%zu identical=%s\n",
-                static_cast<unsigned long long>(serial.chain_digest),
-                static_cast<unsigned long long>(parallel.chain_digest),
-                static_cast<unsigned long long>(replay.chain_digest),
-                static_cast<unsigned long long>(serial.log_digest),
-                static_cast<unsigned long long>(parallel.log_digest),
-                static_cast<unsigned long long>(replay.log_digest),
-                serial.trace_json.size(), parallel.trace_json.size(),
-                replay.trace_json.size(),
-                (serial.trace_json == parallel.trace_json &&
-                 parallel.trace_json == replay.trace_json)
+                serial.trace_json.size(), parallel.trace_json.size(), replay.trace_json.size(),
+                serial.trace_json == parallel.trace_json && parallel.trace_json == replay.trace_json
                     ? "yes"
                     : "NO");
-  std::string text = "seed " + std::to_string(seed) + "\n" + digests +
+  std::string text = "seed " + std::to_string(seed) + "\n" +
+                     soak::DigestRow("chain digest:", serial.chain_digest, parallel.chain_digest,
+                                     replay.chain_digest) +
+                     soak::DigestRow("log digest:  ", serial.log_digest, parallel.log_digest,
+                                     replay.log_digest) +
+                     trace_bytes +
                      "\nper-stage counters (threads run):\n" + parallel.counters +
                      "\nlatency decomposition (threads run):\n" + parallel.decomposition;
   if (!violations.empty()) {
@@ -355,13 +262,11 @@ void WriteSeedArtifacts(const SoakOptions& opt, u64 seed, const RunOutcome& seri
       text += "  " + v + "\n";
     }
   }
-  const std::string base = opt.log_dir + "/seed" + std::to_string(seed);
-  WriteFileOrWarn(base + ".txt", text);
-  WriteFileOrWarn(base + ".trace.json", parallel.trace_json);
+  const std::string base = opt.common.log_dir + "/seed" + std::to_string(seed);
+  soak::WriteFileOrWarn(kTool, base + ".txt", text);
+  soak::WriteFileOrWarn(kTool, base + ".trace.json", parallel.trace_json);
 
-  // emu-pulse artifacts (threads run): soak dashboard + raw series, the
-  // runner's epoch profile, and the wall-clock trace. Separate files from the
-  // deterministic trace above by design.
+  // Telemetry of the threads run: dashboard, series, epoch profile.
   obs::DashboardOptions dash;
   dash.title = "chain_soak seed " + std::to_string(seed);
   dash.subtitle = "filter->nat->cache->pool, threads run; source-side telemetry";
@@ -371,10 +276,7 @@ void WriteSeedArtifacts(const SoakOptions& opt, u64 seed, const RunOutcome& seri
       {"In-flight window", "requests", {"chain.source.in_flight"}, false},
       {"Source RTT", "us", {"chain.source.rtt_us.p50", "chain.source.rtt_us.p99"}, false},
   };
-  obs::WriteSoakDashboardHtml(base + ".dashboard.html", dash, parallel.series, charts, slo);
-  WriteFileOrWarn(base + ".series.json", parallel.series.SeriesJson());
-  WriteFileOrWarn(base + ".pulse.json", parallel.pulse_summary_json);
-  WriteFileOrWarn(base + ".pulse.trace.json", parallel.pulse_trace_json);
+  soak::WriteTelemetry(kTool, base, dash, charts, parallel.telemetry, slo);
 }
 
 int Usage() {
@@ -395,92 +297,62 @@ int Usage() {
 
 int Main(int argc, char** argv) {
   SoakOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      opt.first_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--seeds" && i + 1 < argc) {
-      opt.seed_count = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--requests" && i + 1 < argc) {
-      opt.requests = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--gap-us" && i + 1 < argc) {
-      opt.gap_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--spec" && i + 1 < argc) {
-      std::ifstream in(argv[++i]);
-      if (!in) {
-        std::fprintf(stderr, "chain_soak: cannot read %s\n", argv[i]);
-        return 2;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      opt.spec_text = text.str();
-    } else if (arg == "--log-dir" && i + 1 < argc) {
-      opt.log_dir = argv[++i];
-    } else if (arg == "--slo" && i + 1 < argc) {
-      opt.slo_spec = argv[++i];
-    } else if (arg == "--prom" && i + 1 < argc) {
-      opt.prom_path = argv[++i];
-    } else if (arg == "--sample-us" && i + 1 < argc) {
-      opt.sample_interval_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--verbose") {
-      opt.verbose = true;
-    } else {
-      return Usage();
-    }
-  }
-  if (opt.threads == 0 || opt.seed_count == 0 || opt.requests == 0 || opt.gap_us == 0 ||
-      opt.sample_interval_us == 0) {
+  opt.common.seed_count = 3;
+  opt.common.sample_interval_us = 100;
+  std::string spec_path;
+  soak::Flags flags;
+  soak::AddCommonFlags(flags, opt.common);
+  soak::AddLatticeFlags(flags, opt.common);
+  flags.Number("--requests", &opt.requests);
+  flags.Number("--gap-us", &opt.gap_us);
+  flags.Text("--spec", &spec_path);
+  if (!flags.Parse(argc, argv)) {
     return Usage();
   }
-
-  // Parse the SLO spec before any run: a malformed gate must fail fast, not
-  // after minutes of soak.
-  const obs::SloParseResult slo_spec = obs::ParseSloSpec(opt.slo_spec);
-  if (!slo_spec.ok) {
-    std::fprintf(stderr, "chain_soak: %s\n", slo_spec.error.c_str());
+  if (!spec_path.empty()) {
+    std::ifstream in(spec_path);
+    if (!in) {
+      std::fprintf(stderr, "chain_soak: cannot read %s\n", spec_path.c_str());
+      return 2;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    opt.spec_text = text.str();
+  }
+  const soak::CommonOptions& common = opt.common;
+  if (common.threads == 0 || common.seed_count == 0 || opt.requests == 0 || opt.gap_us == 0 ||
+      common.sample_interval_us == 0) {
+    return Usage();
+  }
+  const auto slo_clauses = soak::ParseSlo(kTool, common.slo_text);
+  if (!slo_clauses) {
     return 2;
   }
 
   std::printf("chain_soak: seeds=[%llu..%llu] threads={1,%zu} requests=%zu (+%zu prewarm)\n",
-              static_cast<unsigned long long>(opt.first_seed),
-              static_cast<unsigned long long>(opt.first_seed + opt.seed_count - 1),
-              opt.threads, opt.requests, kPrewarmKeys);
+              static_cast<unsigned long long>(common.first_seed),
+              static_cast<unsigned long long>(common.first_seed + common.seed_count - 1),
+              common.threads, opt.requests, kPrewarmKeys);
 
   bool all_ok = true;
-  for (u64 k = 0; k < opt.seed_count; ++k) {
-    const u64 seed = opt.first_seed + k;
-    const RunOutcome serial = RunOnce(seed, 1, opt);
-    const RunOutcome parallel = RunOnce(seed, opt.threads, opt);
-    const RunOutcome replay = RunOnce(seed, opt.threads, opt);
+  for (u64 k = 0; k < common.seed_count; ++k) {
+    const u64 seed = common.first_seed + k;
+    const soak::Lattice<RunOutcome> runs = soak::RunLattice(
+        seed, common.threads, [&opt](u64 s, usize threads) { return RunOnce(s, threads, opt); });
+    const RunOutcome& parallel = runs.parallel;
 
     std::vector<std::string> violations = CheckInvariants(parallel);
-    if (serial.ok && replay.ok && violations.empty()) {
-      if (serial.chain_digest != parallel.chain_digest ||
-          serial.log_digest != parallel.log_digest) {
-        violations.push_back("determinism: threads=1 vs threads=" +
-                             std::to_string(opt.threads) + " digests diverged");
-      }
-      if (replay.chain_digest != parallel.chain_digest ||
-          replay.log_digest != parallel.log_digest) {
-        violations.push_back("determinism: same-seed replay digests diverged");
-      }
-      if (serial.trace_json != parallel.trace_json) {
-        violations.push_back("determinism: threads=1 vs threads=" +
-                             std::to_string(opt.threads) + " traces are not byte-identical");
-      }
-      if (replay.trace_json != parallel.trace_json) {
-        violations.push_back("determinism: replay trace is not byte-identical");
-      }
-    } else if (!serial.ok) {
-      violations.push_back(serial.detail);
-    } else if (!replay.ok) {
-      violations.push_back(replay.detail);
+    if (runs.serial.ok && runs.replay.ok && violations.empty()) {
+      soak::CompareLattice(Fingerprint(runs.serial), Fingerprint(parallel),
+                           Fingerprint(runs.replay), common.threads, violations);
+    } else if (!runs.serial.ok) {
+      violations.push_back(runs.serial.detail);
+    } else if (!runs.replay.ok) {
+      violations.push_back(runs.replay.detail);
     }
     // SLO gate on the threads run: a breach is a failure in its own right,
     // even with every determinism/flow invariant intact.
-    const obs::SloReport slo = obs::EvaluateSlo(slo_spec.clauses, MakeSoakLookup(parallel));
+    const obs::SloReport slo = obs::EvaluateSlo(*slo_clauses, MakeSoakLookup(parallel));
     if (!slo.ok) {
       violations.push_back("slo: breach (see clause report)");
     }
@@ -501,20 +373,15 @@ int Main(int argc, char** argv) {
     if (k == 0 || !violations.empty()) {
       std::printf("%s", parallel.decomposition.c_str());
     }
-    if (!opt.log_dir.empty()) {
-      WriteSeedArtifacts(opt, seed, serial, parallel, replay, violations, slo);
+    if (!common.log_dir.empty()) {
+      WriteSeedArtifacts(opt, seed, runs, violations, slo);
     }
-    if (!opt.prom_path.empty() && k + 1 == opt.seed_count) {
-      std::string lint_error;
-      if (!PrometheusLint(parallel.prom_text, &lint_error)) {
-        std::printf("  prom lint: %s\n", lint_error.c_str());
-        all_ok = false;
-      }
-      WriteFileOrWarn(opt.prom_path, parallel.prom_text);
+    if (!common.prom_path.empty() && k + 1 == common.seed_count) {
+      all_ok = soak::WritePrometheus(kTool, common.prom_path, parallel.telemetry.prom_text, "  ") &&
+               all_ok;
     }
   }
-  std::printf("chain_soak: %s\n", all_ok ? "all invariants held" : "FAILURES");
-  return all_ok ? 0 : 1;
+  return soak::Finish(kTool, all_ok);
 }
 
 }  // namespace

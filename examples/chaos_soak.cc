@@ -30,12 +30,13 @@
 // metrics (e.g. "chaos.loss_rate <= 0.05; chaos.hazards <= 0"); --prom
 // writes the last case's registry in Prometheus format, self-linted.
 //
+// Flags, seed lattice, artifacts and SLO exit codes: src/soak/soak.h.
+//
 // Usage:
 //   chaos_soak [--seed N] [--cycles N] [--faults "<plan>"] [--replay]
 //              [--service <name>] [--slo CLAUSES] [--prom FILE] [--verbose]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,15 +48,13 @@
 #include "src/core/targets.h"
 #include "src/fault/fault_registry.h"
 #include "src/fault/frame_impairer.h"
-#include "src/obs/dashboard.h"
-#include "src/obs/slo.h"
-#include "src/obs/timeseries.h"
 #include "src/net/dns.h"
 #include "src/net/icmp.h"
 #include "src/net/tcp.h"
 #include "src/net/udp.h"
 #include "src/sim/loadgen.h"
 #include "src/sim/memaslap.h"
+#include "src/soak/soak.h"
 
 #ifdef EMU_ANALYSIS
 #include "src/analysis/hazard_monitor.h"
@@ -64,6 +63,7 @@
 namespace emu {
 namespace {
 
+constexpr char kTool[] = "chaos_soak";
 const MacAddress kClientMac = MacAddress::FromU48(0x02'00'00'00'cc'99);
 const Ipv4Address kClientIp(10, 0, 0, 9);
 
@@ -76,11 +76,10 @@ const Ipv4Address kClientIp(10, 0, 0, 9);
 // that configured them — one definition of each service's identity, shared
 // with the chain scenarios.
 struct SoakCase {
-  std::string name;
   std::unique_ptr<Service> service;
   std::function<void(FpgaTarget&)> prewarm;
   FrameFactory factory;
-  std::vector<u8> ports;
+  std::vector<u8> ports = {0, 1, 2, 3};
   std::string dropped_metric;
 };
 
@@ -98,7 +97,6 @@ std::unique_ptr<Service> MustMakeService(const std::string& kind, const StageAtt
 
 SoakCase MakeIcmpCase() {
   SoakCase c;
-  c.name = "icmp_echo";
   c.service = MustMakeService("icmp_echo", {});
   c.dropped_metric = "icmp.dropped";
   const IcmpEchoConfig config = CanonicalIcmpEchoConfig();
@@ -106,13 +104,11 @@ SoakCase MakeIcmpCase() {
     return MakeIcmpEchoRequest(
         {config.mac, kClientMac, kClientIp, config.ip, static_cast<u16>(i), 0}, {});
   };
-  c.ports = {0, 1, 2, 3};
   return c;
 }
 
 SoakCase MakeTcpPingCase() {
   SoakCase c;
-  c.name = "tcp_ping";
   c.service = MustMakeService("tcp_ping", {});
   c.dropped_metric = "tcp_ping.dropped";
   const TcpPingConfig config = CanonicalTcpPingConfig();
@@ -128,13 +124,11 @@ SoakCase MakeTcpPingCase() {
                         TcpFlags::kSyn};
     return MakeTcpSegment(spec);
   };
-  c.ports = {0, 1, 2, 3};
   return c;
 }
 
 SoakCase MakeDnsCase() {
   SoakCase c;
-  c.name = "dns";
   // records=4 installs the same svc<i>.lab -> 10.1.0.<1+i> records the
   // factory below queries.
   c.service = MustMakeService("dns", {{"records", "4"}});
@@ -146,13 +140,11 @@ SoakCase MakeDnsCase() {
                           static_cast<u16>(5000 + i % 1000), kDnsPort},
                          BuildDnsQuery(static_cast<u16>(i), name));
   };
-  c.ports = {0, 1, 2, 3};
   return c;
 }
 
 SoakCase MakeNatCase() {
   SoakCase c;
-  c.name = "nat";
   // max_mappings=256: reachable exhaustion within one soak;
   // evict_idle=10000: evict-idle-first under pressure.
   c.service = MustMakeService("nat", {{"max_mappings", "256"}, {"evict_idle", "10000"}});
@@ -175,7 +167,6 @@ SoakCase MakeNatCase() {
 
 SoakCase MakeMemcachedCase() {
   SoakCase c;
-  c.name = "memcached";
   c.service = MustMakeService("memcached", {});
   c.dropped_metric = "memcached.dropped";
   MemaslapConfig workload;
@@ -190,7 +181,6 @@ SoakCase MakeMemcachedCase() {
     target.TakeEgress();
   };
   c.factory = [loadgen](usize i, u8) { return loadgen->WorkloadFrame(i); };
-  c.ports = {0, 1, 2, 3};
   return c;
 }
 
@@ -261,19 +251,15 @@ struct SoakOutcome {
   std::string injection_log;
   // emu-pulse: sampled case telemetry + the end-of-run snapshot the SLO
   // gate evaluates, and the registry's Prometheus exposition.
-  obs::TimeSeriesRecorder series{512};
-  std::vector<std::pair<std::string, u64>> final_metrics;
-  std::string prom_text;
+  soak::Telemetry telemetry{512};
 };
 
 struct SoakOptions {
-  u64 seed = 1;
+  // --seed; --log-dir gets per-case dashboards and failure artifacts; --slo
+  // gates each case's end of run; --prom exposes the last case's registry.
+  soak::CommonOptions common;
   u64 cycles = 1'000'000;
   std::string plan_text;  // empty: randomized from seed
-  std::string log_dir;    // when set: write per-case artifacts on failure
-  std::string slo_spec;   // per-case end-of-run gates
-  std::string prom_path;  // Prometheus exposition of the last case's registry
-  bool verbose = false;
 };
 
 SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
@@ -288,7 +274,8 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
     c.prewarm(target);
   }
 
-  FaultRegistry registry(opt.seed);
+  const u64 seed = opt.common.first_seed;
+  FaultRegistry registry(seed);
   c.service->RegisterFaultPoints(registry);
   FrameImpairer tap(registry, "ingress");
   // The simulator ticks the registry once per executed edge (and books
@@ -301,7 +288,7 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
   metrics.Register("faults.fired", [&registry] { return registry.fired_total(); });
 
   const std::string plan_text =
-      opt.plan_text.empty() ? RandomPlanText(opt.seed, opt.cycles) : opt.plan_text;
+      opt.plan_text.empty() ? RandomPlanText(seed, opt.cycles) : opt.plan_text;
   out.plan_used = plan_text;
   const Expected<FaultPlan> plan = ParseFaultPlan(plan_text);
   if (!plan.ok()) {
@@ -310,7 +297,7 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
     return out;
   }
   registry.ArmPlan(*plan);
-  if (opt.verbose) {
+  if (opt.common.verbose) {
     std::printf("  plan: %s\n", plan_text.c_str());
   }
 
@@ -349,7 +336,8 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
   for (u64 cycle = 0; cycle < opt.cycles; cycle += kFrameGap) {
     const Cycle now = target.sim().now();
     if (cycle >= next_sample) {
-      out.series.Record(static_cast<Picoseconds>(now) * kPicosPerNano, metrics.Snapshot());
+      out.telemetry.series.Record(static_cast<Picoseconds>(now) * kPicosPerNano,
+                                  metrics.Snapshot());
       next_sample += sample_every;
     }
     {
@@ -399,10 +387,10 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
   out.faults_fired = registry.fired_total();
   out.fault_digest = registry.LogDigest();
   out.injection_log = registry.Summary();
-  out.series.Record(static_cast<Picoseconds>(target.sim().now()) * kPicosPerNano,
-                    metrics.Snapshot());
-  out.final_metrics = metrics.Snapshot();
-  out.prom_text = metrics.PrometheusText();
+  out.telemetry.series.Record(static_cast<Picoseconds>(target.sim().now()) * kPicosPerNano,
+                              metrics.Snapshot());
+  out.telemetry.final_metrics = metrics.Snapshot();
+  out.telemetry.prom_text = metrics.PrometheusText();
   out.balanced =
       in == out.injected &&
       in == egress_count + out.pipeline_drops + out.service_dropped;
@@ -442,7 +430,7 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
     out.detail += "recovery failed: " + std::to_string(probe_ok) + "/" +
                   std::to_string(kProbes) + " probes answered\n";
   }
-  if (opt.verbose) {
+  if (opt.common.verbose) {
     std::printf("%s", registry.Summary().c_str());
     std::printf("%s", metrics.Format().c_str());
   }
@@ -452,20 +440,14 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
 // SLO lookup per case: harness-derived values first, then the end-of-run
 // registry snapshot (histogram derived views already expanded).
 obs::SloLookup MakeCaseLookup(const SoakOutcome& out) {
-  return [&out](const std::string& name) -> std::optional<double> {
-    if (name == "chaos.loss_rate") {
-      const u64 lost = out.tap_dropped + out.pipeline_drops + out.service_dropped;
-      return out.generated == 0 ? 0.0
-                                : static_cast<double>(lost) / static_cast<double>(out.generated);
-    }
-    if (name == "chaos.recovered") return out.recovered ? 1.0 : 0.0;
-    if (name == "chaos.hazards") return static_cast<double>(out.hazards);
-    if (name == "chaos.faults_fired") return static_cast<double>(out.faults_fired);
-    for (const auto& [metric, value] : out.final_metrics) {
-      if (metric == name) return static_cast<double>(value);
-    }
-    return std::nullopt;
-  };
+  const u64 lost = out.tap_dropped + out.pipeline_drops + out.service_dropped;
+  const double loss_rate =
+      out.generated == 0 ? 0.0 : static_cast<double>(lost) / static_cast<double>(out.generated);
+  return soak::SnapshotLookup({{"chaos.loss_rate", loss_rate},
+                               {"chaos.recovered", out.recovered ? 1.0 : 0.0},
+                               {"chaos.hazards", static_cast<double>(out.hazards)},
+                               {"chaos.faults_fired", static_cast<double>(out.faults_fired)}},
+                              out.telemetry.final_metrics);
 }
 
 // Dashboard + series JSON for one case (written for every case when
@@ -473,16 +455,16 @@ obs::SloLookup MakeCaseLookup(const SoakOutcome& out) {
 // baseline the red one is diffed against).
 void WriteCaseDashboard(const SoakOptions& opt, const std::string& name,
                         const SoakOutcome& out, const obs::SloReport& slo) {
+  const std::string seed = std::to_string(opt.common.first_seed);
   obs::DashboardOptions dash;
-  dash.title = "chaos_soak " + name + " seed " + std::to_string(opt.seed);
+  dash.title = "chaos_soak " + name + " seed " + seed;
   dash.subtitle = std::to_string(opt.cycles) + " cycles; plan: " + out.plan_used;
   const std::vector<obs::ChartSpec> charts = {
       {"Flow", "frames/s (1 cyc = 1 ns)", {"chaos.injected", "chaos.egressed"}, true},
       {"Faults fired (cumulative)", "injections", {"faults.fired"}, false},
   };
-  const std::string base = opt.log_dir + "/" + name + "_seed" + std::to_string(opt.seed);
-  obs::WriteSoakDashboardHtml(base + ".dashboard.html", dash, out.series, charts, slo);
-  out.series.WriteSeriesJson(base + ".series.json");
+  soak::WriteTelemetry(kTool, opt.common.log_dir + "/" + name + "_seed" + seed, dash, charts,
+                       out.telemetry, slo);
 }
 
 void PrintOutcome(const std::string& name, const SoakOutcome& out, u64 seed) {
@@ -503,18 +485,18 @@ void PrintOutcome(const std::string& name, const SoakOutcome& out, u64 seed) {
   }
 }
 
-// One file per failing case under opt.log_dir (the directory must exist; CI
+// One file per failing case under --log-dir (the directory must exist; CI
 // creates it and uploads it as an artifact): the plan, both digests, the
 // injection log, and the failure detail — everything a replay needs.
 void WriteFailureArtifact(const SoakOptions& opt, const std::string& name,
                           const SoakOutcome& out, const SoakOutcome* replay) {
+  const std::string seed = std::to_string(opt.common.first_seed);
   char digests[160];
   std::snprintf(digests, sizeof(digests), "fault digest: %016llx\negress digest: %016llx\n",
                 static_cast<unsigned long long>(out.fault_digest),
                 static_cast<unsigned long long>(out.egress_digest));
-  std::string text = "case " + name + " seed " + std::to_string(opt.seed) + " cycles " +
-                     std::to_string(opt.cycles) + "\nplan: " + out.plan_used + "\n" +
-                     digests;
+  std::string text = "case " + name + " seed " + seed + " cycles " +
+                     std::to_string(opt.cycles) + "\nplan: " + out.plan_used + "\n" + digests;
   if (replay != nullptr) {
     char replayed[160];
     std::snprintf(replayed, sizeof(replayed),
@@ -528,15 +510,7 @@ void WriteFailureArtifact(const SoakOptions& opt, const std::string& name,
     text += "detail:\n" + out.detail;
   }
   text += "\ninjection log:\n" + out.injection_log;
-  const std::string path = opt.log_dir + "/" + name + "_seed" +
-                           std::to_string(opt.seed) + ".txt";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "chaos_soak: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  soak::WriteFileOrWarn(kTool, opt.common.log_dir + "/" + name + "_seed" + seed + ".txt", text);
 }
 
 int Usage() {
@@ -556,34 +530,18 @@ int Main(int argc, char** argv) {
   SoakOptions opt;
   bool replay = false;
   std::string only_service;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--cycles" && i + 1 < argc) {
-      opt.cycles = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--faults" && i + 1 < argc) {
-      opt.plan_text = argv[++i];
-    } else if (arg == "--replay") {
-      replay = true;
-    } else if (arg == "--service" && i + 1 < argc) {
-      only_service = argv[++i];
-    } else if (arg == "--log-dir" && i + 1 < argc) {
-      opt.log_dir = argv[++i];
-    } else if (arg == "--slo" && i + 1 < argc) {
-      opt.slo_spec = argv[++i];
-    } else if (arg == "--prom" && i + 1 < argc) {
-      opt.prom_path = argv[++i];
-    } else if (arg == "--verbose") {
-      opt.verbose = true;
-    } else {
-      return Usage();
-    }
+  soak::Flags flags;
+  soak::AddCommonFlags(flags, opt.common);
+  flags.Number("--cycles", &opt.cycles);
+  flags.Text("--faults", &opt.plan_text);
+  flags.Switch("--replay", &replay);
+  flags.Text("--service", &only_service);
+  if (!flags.Parse(argc, argv)) {
+    return Usage();
   }
-
-  const obs::SloParseResult slo_spec = obs::ParseSloSpec(opt.slo_spec);
-  if (!slo_spec.ok) {
-    std::fprintf(stderr, "chaos_soak: %s\n", slo_spec.error.c_str());
+  const soak::CommonOptions& common = opt.common;
+  const auto slo_clauses = soak::ParseSlo(kTool, common.slo_text);
+  if (!slo_clauses) {
     return 2;
   }
 
@@ -595,9 +553,8 @@ int Main(int argc, char** argv) {
   };
 
   std::printf("chaos_soak: seed=%llu cycles=%llu%s\n",
-              static_cast<unsigned long long>(opt.seed),
-              static_cast<unsigned long long>(opt.cycles),
-              replay ? " (replay check)" : "");
+              static_cast<unsigned long long>(common.first_seed),
+              static_cast<unsigned long long>(opt.cycles), replay ? " (replay check)" : "");
   bool all_ok = true;
   bool matched = false;
   for (const auto& [name, make] : cases) {
@@ -606,34 +563,27 @@ int Main(int argc, char** argv) {
     }
     matched = true;
     const SoakOutcome first = RunSoak(make(), opt);
-    PrintOutcome(name, first, opt.seed);
+    PrintOutcome(name, first, common.first_seed);
     all_ok = all_ok && first.ok;
 
-    const obs::SloReport slo = obs::EvaluateSlo(slo_spec.clauses, MakeCaseLookup(first));
+    const obs::SloReport slo = obs::EvaluateSlo(*slo_clauses, MakeCaseLookup(first));
     if (!slo.checks.empty()) {
       std::printf("%s", obs::FormatSloReport(slo).c_str());
     }
     all_ok = all_ok && slo.ok;
 
-    if (!opt.log_dir.empty()) {
+    if (!common.log_dir.empty()) {
       WriteCaseDashboard(opt, name, first, slo);
     }
-    if (!first.ok && !opt.log_dir.empty()) {
+    if (!first.ok && !common.log_dir.empty()) {
       WriteFailureArtifact(opt, name, first, nullptr);
     }
-    if (!opt.prom_path.empty()) {
-      std::string lint_error;
-      if (!PrometheusLint(first.prom_text, &lint_error)) {
-        std::printf("%-10s prom lint: %s\n", name, lint_error.c_str());
-        all_ok = false;
-      }
-      std::FILE* f = std::fopen(opt.prom_path.c_str(), "w");
-      if (f != nullptr) {
-        std::fwrite(first.prom_text.data(), 1, first.prom_text.size(), f);
-        std::fclose(f);
-      } else {
-        std::fprintf(stderr, "chaos_soak: cannot write %s\n", opt.prom_path.c_str());
-      }
+    if (!common.prom_path.empty()) {
+      char indent[32];
+      std::snprintf(indent, sizeof(indent), "%-10s ", name);
+      all_ok =
+          soak::WritePrometheus(kTool, common.prom_path, first.telemetry.prom_text, indent) &&
+          all_ok;
     }
     if (replay && first.ok) {
       const SoakOutcome second = RunSoak(make(), opt);
@@ -644,7 +594,7 @@ int Main(int argc, char** argv) {
                   static_cast<unsigned long long>(second.fault_digest),
                   static_cast<unsigned long long>(second.egress_digest));
       all_ok = all_ok && same;
-      if (!same && !opt.log_dir.empty()) {
+      if (!same && !common.log_dir.empty()) {
         WriteFailureArtifact(opt, name, first, &second);
       }
     }
@@ -652,8 +602,7 @@ int Main(int argc, char** argv) {
   if (!matched) {
     return Usage();
   }
-  std::printf("chaos_soak: %s\n", all_ok ? "all invariants held" : "FAILURES");
-  return all_ok ? 0 : 1;
+  return soak::Finish(kTool, all_ok);
 }
 
 }  // namespace

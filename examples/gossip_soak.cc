@@ -38,13 +38,14 @@
 // "gossip.detection_latency_us.p99 <= 5000; gossip.violations_total <= 0")
 // and makes a breach exit nonzero.
 //
+// Flags, seed lattice, artifacts and SLO exit codes: src/soak/soak.h.
+//
 // Usage:
 //   gossip_soak [--seed N] [--seeds N] [--hosts N] [--threads N]
 //               [--run-ms N] [--plan "<topo plan>"] [--prom FILE]
 //               [--log-dir DIR] [--slo CLAUSES] [--verbose]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,14 +55,12 @@
 #include "src/core/metrics.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fault_registry.h"
-#include "src/obs/dashboard.h"
-#include "src/obs/pulse.h"
 #include "src/obs/sampler.h"
-#include "src/obs/slo.h"
-#include "src/obs/timeseries.h"
 #include "src/services/swim_service.h"
 #include "src/sim/chaos.h"
 #include "src/sim/topology.h"
+#include "src/soak/soak.h"
+#include "src/soak/workloads.h"
 
 namespace emu {
 namespace {
@@ -80,46 +79,18 @@ constexpr char kImpairClauses[] =
     "; link.h0.up.drop bernoulli 0.02; link.h0.down.drop bernoulli 0.02"
     "; link.h1.up.reorder bernoulli 0.02; link.h1.down.reorder bernoulli 0.02";
 
+constexpr char kTool[] = "gossip_soak";
 constexpr Picoseconds kBootDelay = 5 * kPicosPerMilli;
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
 
 struct SoakOptions {
-  u64 first_seed = 1;
-  u64 seed_count = 5;
+  soak::CommonOptions common;  // --slo evaluated over the cross-seed harness metrics
   usize hosts = 8;
-  usize threads = 4;
   u64 run_ms = 200;
   std::string plan_text = kDefaultPlan;
-  std::string prom_path;
-  std::string log_dir;
-  std::string slo_spec;  // evaluated over the cross-seed harness metrics
-  u64 sample_interval_us = 1000;
   bool impair = false;
-  bool verbose = false;
 };
 
 std::string HostName(usize i) { return "h" + std::to_string(i); }
-
-// The SWIM membership list mirrors the spec's auto-host convention — one
-// definition of "host i's addresses" (AutoHost) for both layers.
-std::vector<SwimMember> ClusterMembers(usize hosts) {
-  std::vector<SwimMember> members;
-  for (usize i = 0; i < hosts; ++i) {
-    const SpecHost host = AutoHost(i);
-    members.push_back(SwimMember{host.name, host.mac, host.ip});
-  }
-  return members;
-}
-
-// The soak topology as a spec (specs/gossip_hub.spec parameterized by host
-// count): 50 us links because SWIM's timescale is the 1 ms protocol period,
-// and the larger conservative lookahead keeps the parallel epoch count (and
-// so the soak's wall-clock) three orders of magnitude below cable-accurate
-// delay.
-std::string SoakSpecText(usize hosts) {
-  return "topology hub hosts=" + std::to_string(hosts) + " link_delay=50us";
-}
 
 SwimConfig SoakSwimConfig(u64 run_ms) {
   SwimConfig config;
@@ -138,22 +109,18 @@ struct RunOutcome {
   u64 log_digest = 0;   // FaultRegistry::LogDigest
   std::vector<std::vector<SwimEvent>> events;      // [observer]
   std::vector<std::vector<SwimState>> final_state;  // [observer][subject]
-  std::vector<std::vector<u32>> final_inc;
   std::vector<bool> host_up;
   std::string injection_log;
-  std::string prom_text;  // filled when want_prom
-  // emu-pulse artifacts (wall-clock / telemetry; orthogonal to the digests):
-  obs::TimeSeriesRecorder series{1024};
-  std::string pulse_summary_json;
-  std::string pulse_trace_json;
+  // Host-0 series, epoch profile, and (with --prom or --verbose) the full
+  // registry exposition; orthogonal to the digests.
+  soak::Telemetry telemetry{1024};
 };
 
-RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt, bool want_prom) {
+RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt, const FaultPlan& plan) {
   RunOutcome out;
-  const std::vector<SwimMember> members = ClusterMembers(opt.hosts);
   FaultRegistry registry(seed);
   Expected<std::unique_ptr<Scenario>> built =
-      BuildScenarioFromText(SoakSpecText(opt.hosts), &registry);
+      BuildScenarioFromText(soak::SwimHubSpec(opt.hosts), &registry);
   if (!built.ok()) {
     out.ok = false;
     out.detail = "bad scenario spec: " + built.status().ToString();
@@ -169,29 +136,18 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt, bool want_pr
 
   ChaosDirector director(topo, &registry);
   director.set_boot_delay(kBootDelay);
-  const Expected<FaultPlan> plan = ParseFaultPlan(opt.plan_text);
-  if (!plan.ok()) {
-    out.ok = false;
-    out.detail = "bad fault plan: " + plan.status().ToString();
-    return out;
-  }
-  if (Status applied = director.Apply(*plan); !applied.ok()) {
+  if (Status applied = director.Apply(plan); !applied.ok()) {
     out.ok = false;
     out.detail = "chaos apply failed: " + applied.ToString();
     return out;
   }
   // The director schedules the topo events; point entries (link impairment)
   // arm directly on the registry.
-  registry.ArmPlan(*plan);
+  registry.ArmPlan(plan);
 
   const SwimConfig swim_config = SoakSwimConfig(opt.run_ms);
-  std::vector<std::unique_ptr<SwimPeer>> peers;
-  for (usize i = 0; i < opt.hosts; ++i) {
-    peers.push_back(std::make_unique<SwimPeer>(
-        topo.host(i), static_cast<u16>(i), members, swim_config,
-        seed ^ (0x9E37'79B9'7F4A'7C15ull * (i + 1))));
-    peers.back()->Start();
-  }
+  const std::vector<std::unique_ptr<SwimPeer>> peers =
+      soak::StartSwimPeers(topo, opt.hosts, swim_config, seed);
 
   // emu-pulse: sample host 0's SWIM telemetry on host 0's own scheduler.
   // Every value read is mutated only by events on that shard (peer 0's
@@ -206,41 +162,26 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt, bool want_pr
     }
     return alive;
   });
-  MetricsSampler sampler(h0_metrics,
-                         static_cast<Picoseconds>(opt.sample_interval_us) * kPicosPerMicro);
-  sampler.AttachRecorder(&out.series);
+  MetricsSampler sampler(h0_metrics, static_cast<Picoseconds>(opt.common.sample_interval_us) *
+                                         kPicosPerMicro);
+  sampler.AttachRecorder(&out.telemetry.series);
   sampler.SchedulePeriodic(topo.host(0).scheduler(), swim_config.run_until);
 
-  obs::RunnerPulse pulse;
-  topo.runner().AttachPulse(&pulse);
-
-  ParallelRunOptions run_opts;
-  run_opts.threads = threads;
-  out.events_executed = topo.Run(run_opts);
+  out.events_executed = soak::RunWithPulse(topo, threads, out.telemetry);
   out.epochs = topo.runner().epochs();
-  out.pulse_summary_json = pulse.SummaryJson();
-  out.pulse_trace_json = pulse.WallClockTraceJson();
-
-  u64 combined = kFnvOffset;
-  for (const auto& peer : peers) {
-    combined = (combined ^ peer->EventsDigest()) * kFnvPrime;
-  }
-  out.swim_digest = combined;
+  out.swim_digest = soak::SwimDigest(peers);
   out.log_digest = registry.LogDigest();
   out.injection_log = registry.Summary();
   for (usize o = 0; o < opt.hosts; ++o) {
     out.events.push_back(peers[o]->events());
     out.host_up.push_back(topo.host(o).up());
     std::vector<SwimState> states;
-    std::vector<u32> incs;
     for (usize s = 0; s < opt.hosts; ++s) {
       states.push_back(peers[o]->StateOf(static_cast<u16>(s)));
-      incs.push_back(peers[o]->IncarnationOf(static_cast<u16>(s)));
     }
     out.final_state.push_back(std::move(states));
-    out.final_inc.push_back(std::move(incs));
   }
-  if (want_prom || opt.verbose) {
+  if (!opt.common.prom_path.empty() || opt.common.verbose) {
     MetricsRegistry metrics;
     registry.RegisterMetrics(metrics, "faults");
     for (usize i = 0; i < opt.hosts; ++i) {
@@ -248,8 +189,8 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt, bool want_pr
       peers[i]->RegisterMetrics(metrics, "swim." + HostName(i));
     }
     topo.hub().RegisterMetrics(metrics, "hub");
-    out.prom_text = metrics.PrometheusText();
-    if (opt.verbose) {
+    out.telemetry.prom_text = metrics.PrometheusText();
+    if (opt.common.verbose) {
       std::printf("%s", metrics.Format().c_str());
     }
   }
@@ -260,10 +201,6 @@ RunOutcome RunOnce(u64 seed, usize threads, const SoakOptions& opt, bool want_pr
 //
 // The checker reconstructs each host's lifecycle and the partition windows
 // from the parsed plan, then audits the per-peer membership-event logs.
-
-struct Violation {
-  std::string message;
-};
 
 class InvariantChecker {
  public:
@@ -293,8 +230,8 @@ class InvariantChecker {
 
   // Runs every invariant over one outcome; detection latencies are observed
   // into `latency_us` (microseconds) for the Prometheus artifact.
-  std::vector<Violation> Check(const RunOutcome& run, Histogram& latency_us) const {
-    std::vector<Violation> violations;
+  std::vector<std::string> Check(const RunOutcome& run, Histogram& latency_us) const {
+    std::vector<std::string> violations;
     CheckCompleteness(run, latency_us, violations);
     // Accuracy, rejoin, and agreement are SWIM's *probabilistic* promises:
     // under armed link impairment a lost probe response legitimately looks
@@ -334,7 +271,6 @@ class InvariantChecker {
   // has it down at `t`. Mirrors SimHost's state machine.
   bool UpAt(usize host, Picoseconds t) const {
     bool up = true;
-    Picoseconds cursor = 0;
     // Events in plan order are already time-ordered per host in practice;
     // scan both lists merged by time for robustness.
     std::vector<std::pair<Picoseconds, bool>> timeline;  // (time, is_crash)
@@ -353,9 +289,7 @@ class InvariantChecker {
         // Restart: down for the boot window, then up.
         up = at + kBootDelay <= t;
       }
-      cursor = at;
     }
-    (void)cursor;
     return up;
   }
 
@@ -397,7 +331,7 @@ class InvariantChecker {
   }
 
   void CheckCompleteness(const RunOutcome& run, Histogram& latency_us,
-                         std::vector<Violation>& out) const {
+                         std::vector<std::string>& out) const {
     for (const LifeEvent& crash : crashes_) {
       const Picoseconds deadline = crash.at + bound_;
       if (deadline > horizon_) continue;  // window does not fit the run
@@ -420,7 +354,7 @@ class InvariantChecker {
     }
   }
 
-  void CheckAccuracy(const RunOutcome& run, std::vector<Violation>& out) const {
+  void CheckAccuracy(const RunOutcome& run, std::vector<std::string>& out) const {
     for (usize o = 0; o < opt_.hosts; ++o) {
       for (const SwimEvent& e : run.events[o]) {
         if (e.state != SwimState::kDead) continue;
@@ -439,7 +373,7 @@ class InvariantChecker {
     }
   }
 
-  void CheckRejoin(const RunOutcome& run, std::vector<Violation>& out) const {
+  void CheckRejoin(const RunOutcome& run, std::vector<std::string>& out) const {
     for (const LifeEvent& restart : restarts_) {
       const Picoseconds completion = restart.at + kBootDelay;
       const Picoseconds deadline = completion + bound_;
@@ -478,7 +412,7 @@ class InvariantChecker {
 
   // Once the last chaos event (plus detection bound and boot window) has
   // passed, every pair of up hosts must agree the other is alive.
-  void CheckAgreement(const RunOutcome& run, std::vector<Violation>& out) const {
+  void CheckAgreement(const RunOutcome& run, std::vector<std::string>& out) const {
     Picoseconds settle = 0;
     for (const LifeEvent& c : crashes_) settle = std::max(settle, c.at);
     for (const LifeEvent& r : restarts_) settle = std::max(settle, r.at + kBootDelay);
@@ -510,42 +444,31 @@ class InvariantChecker {
 
 // --- Artifacts --------------------------------------------------------------
 
-bool WriteFileOrWarn(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "gossip_soak: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
+soak::Fingerprint Fingerprint(const RunOutcome& run) {
+  return {{run.swim_digest, run.log_digest}, nullptr};
 }
 
-void WriteSeedArtifact(const SoakOptions& opt, u64 seed, const RunOutcome& serial,
-                       const RunOutcome& parallel, const RunOutcome& replay,
-                       const std::vector<Violation>& violations) {
-  char digest_lines[256];
-  std::snprintf(digest_lines, sizeof(digest_lines),
-                "swim digest: serial=%016llx threads=%016llx replay=%016llx\n"
-                "log digest:  serial=%016llx threads=%016llx replay=%016llx\n",
-                static_cast<unsigned long long>(serial.swim_digest),
-                static_cast<unsigned long long>(parallel.swim_digest),
-                static_cast<unsigned long long>(replay.swim_digest),
-                static_cast<unsigned long long>(serial.log_digest),
-                static_cast<unsigned long long>(parallel.log_digest),
-                static_cast<unsigned long long>(replay.log_digest));
-  std::string text = "seed " + std::to_string(seed) + "\nplan: " + opt.plan_text + "\n" +
-                     digest_lines + "\ninjection log:\n" + serial.injection_log;
+void WriteSeedArtifact(const SoakOptions& opt, u64 seed, const soak::Lattice<RunOutcome>& runs,
+                       const std::vector<std::string>& violations) {
+  const RunOutcome& serial = runs.serial;
+  const RunOutcome& parallel = runs.parallel;
+  const RunOutcome& replay = runs.replay;
+  std::string text =
+      "seed " + std::to_string(seed) + "\nplan: " + opt.plan_text + "\n" +
+      soak::DigestRow("swim digest:", serial.swim_digest, parallel.swim_digest,
+                      replay.swim_digest) +
+      soak::DigestRow("log digest: ", serial.log_digest, parallel.log_digest, replay.log_digest) +
+      "\ninjection log:\n" + serial.injection_log;
   if (!violations.empty()) {
     text += "\nviolations:\n";
-    for (const Violation& v : violations) {
-      text += "  " + v.message + "\n";
+    for (const std::string& v : violations) {
+      text += "  " + v + "\n";
     }
   }
-  const std::string base = opt.log_dir + "/seed" + std::to_string(seed);
-  WriteFileOrWarn(base + ".txt", text);
+  const std::string base = opt.common.log_dir + "/seed" + std::to_string(seed);
+  soak::WriteFileOrWarn(kTool, base + ".txt", text);
 
-  // emu-pulse artifacts (threads run): dashboard + series + epoch profile.
+  // Telemetry of the threads run: dashboard, series, epoch profile.
   obs::DashboardOptions dash;
   dash.title = "gossip_soak seed " + std::to_string(seed);
   dash.subtitle = std::to_string(opt.hosts) + " hosts, threads run; host-0 SWIM telemetry";
@@ -557,11 +480,7 @@ void WriteSeedArtifact(const SoakOptions& opt, u64 seed, const RunOutcome& seria
       {"Gossip fanout", "entries", {"swim.h0.gossip_fanout.p50", "swim.h0.gossip_fanout.p99"},
        false},
   };
-  obs::WriteSoakDashboardHtml(base + ".dashboard.html", dash, parallel.series, charts,
-                              obs::SloReport{});
-  WriteFileOrWarn(base + ".series.json", parallel.series.SeriesJson());
-  WriteFileOrWarn(base + ".pulse.json", parallel.pulse_summary_json);
-  WriteFileOrWarn(base + ".pulse.trace.json", parallel.pulse_trace_json);
+  soak::WriteTelemetry(kTool, base, dash, charts, parallel.telemetry, obs::SloReport{});
 }
 
 int Usage() {
@@ -582,48 +501,25 @@ int Usage() {
 
 int Main(int argc, char** argv) {
   SoakOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      opt.first_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--seeds" && i + 1 < argc) {
-      opt.seed_count = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--hosts" && i + 1 < argc) {
-      opt.hosts = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--run-ms" && i + 1 < argc) {
-      opt.run_ms = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--plan" && i + 1 < argc) {
-      opt.plan_text = argv[++i];
-    } else if (arg == "--prom" && i + 1 < argc) {
-      opt.prom_path = argv[++i];
-    } else if (arg == "--log-dir" && i + 1 < argc) {
-      opt.log_dir = argv[++i];
-    } else if (arg == "--slo" && i + 1 < argc) {
-      opt.slo_spec = argv[++i];
-    } else if (arg == "--sample-us" && i + 1 < argc) {
-      opt.sample_interval_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--impair") {
-      opt.impair = true;
-    } else if (arg == "--verbose") {
-      opt.verbose = true;
-    } else {
-      return Usage();
-    }
-  }
-  if (opt.hosts < 3 || opt.hosts > 64 || opt.threads == 0 || opt.seed_count == 0 ||
-      opt.sample_interval_us == 0) {
+  opt.common.seed_count = 5;
+  opt.common.sample_interval_us = 1000;
+  soak::Flags flags;
+  soak::AddCommonFlags(flags, opt.common);
+  soak::AddLatticeFlags(flags, opt.common);
+  flags.Number("--hosts", &opt.hosts);
+  flags.Number("--run-ms", &opt.run_ms);
+  flags.Text("--plan", &opt.plan_text);
+  flags.Switch("--impair", &opt.impair);
+  const soak::CommonOptions& common = opt.common;
+  if (!flags.Parse(argc, argv) || opt.hosts < 3 || opt.hosts > 64 || common.threads == 0 ||
+      common.seed_count == 0 || common.sample_interval_us == 0) {
     return Usage();
   }
   if (opt.impair) {
     opt.plan_text += kImpairClauses;
   }
-
-  // Parse the SLO gate before any run so a malformed spec fails fast.
-  const obs::SloParseResult slo_spec = obs::ParseSloSpec(opt.slo_spec);
-  if (!slo_spec.ok) {
-    std::fprintf(stderr, "gossip_soak: %s\n", slo_spec.error.c_str());
+  const auto slo_clauses = soak::ParseSlo(kTool, common.slo_text);
+  if (!slo_clauses) {
     return 2;
   }
 
@@ -638,9 +534,9 @@ int Main(int argc, char** argv) {
 
   std::printf("gossip_soak: hosts=%zu seeds=[%llu..%llu] threads={1,%zu} run=%llums "
               "detection-bound=%llums\n",
-              opt.hosts, static_cast<unsigned long long>(opt.first_seed),
-              static_cast<unsigned long long>(opt.first_seed + opt.seed_count - 1),
-              opt.threads, static_cast<unsigned long long>(opt.run_ms),
+              opt.hosts, static_cast<unsigned long long>(common.first_seed),
+              static_cast<unsigned long long>(common.first_seed + common.seed_count - 1),
+              common.threads, static_cast<unsigned long long>(opt.run_ms),
               static_cast<unsigned long long>(bound / kPicosPerMilli));
   std::printf("plan: %s\n", opt.plan_text.c_str());
   if (checker.lossy()) {
@@ -654,52 +550,42 @@ int Main(int argc, char** argv) {
   std::string last_prom;
   bool all_ok = true;
 
-  for (u64 k = 0; k < opt.seed_count; ++k) {
-    const u64 seed = opt.first_seed + k;
-    const bool want_prom = !opt.prom_path.empty() && k + 1 == opt.seed_count;
-    const RunOutcome serial = RunOnce(seed, 1, opt, /*want_prom=*/false);
-    const RunOutcome parallel = RunOnce(seed, opt.threads, opt, want_prom);
-    const RunOutcome replay = RunOnce(seed, opt.threads, opt, /*want_prom=*/false);
+  for (u64 k = 0; k < common.seed_count; ++k) {
+    const u64 seed = common.first_seed + k;
+    const soak::Lattice<RunOutcome> runs = soak::RunLattice(
+        seed, common.threads,
+        [&](u64 s, usize threads) { return RunOnce(s, threads, opt, *plan); });
     runs_total += 3;
-    if (want_prom) {
-      last_prom = parallel.prom_text;
-    }
+    last_prom = runs.parallel.telemetry.prom_text;
 
-    std::vector<Violation> violations;
-    for (const RunOutcome* run : {&serial, &parallel, &replay}) {
+    std::vector<std::string> violations;
+    for (const RunOutcome* run : {&runs.serial, &runs.parallel, &runs.replay}) {
       if (!run->ok) {
-        violations.push_back({run->detail});
+        violations.push_back(run->detail);
       }
     }
     if (violations.empty()) {
       // Invariants on the parallel run (the shipping configuration); the
-      // digest cross-checks make the serial and replay runs equivalent.
-      violations = checker.Check(parallel, detection_latency_us);
-      if (serial.swim_digest != parallel.swim_digest ||
-          serial.log_digest != parallel.log_digest) {
-        violations.push_back({"determinism: threads=1 vs threads=" +
-                              std::to_string(opt.threads) + " digests diverged"});
-      }
-      if (replay.swim_digest != parallel.swim_digest ||
-          replay.log_digest != parallel.log_digest) {
-        violations.push_back({"determinism: same-seed replay digests diverged"});
-      }
+      // lattice comparisons make the serial and replay runs equivalent.
+      violations = checker.Check(runs.parallel, detection_latency_us);
+      soak::CompareLattice(Fingerprint(runs.serial), Fingerprint(runs.parallel),
+                           Fingerprint(runs.replay), common.threads, violations);
     }
     violations_total += violations.size();
     all_ok = all_ok && violations.empty();
 
     std::printf("seed=%llu  events=%llu epochs=%llu  swim=%016llx log=%016llx  %s\n",
                 static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(parallel.events_executed),
-                static_cast<unsigned long long>(parallel.epochs),
-                static_cast<unsigned long long>(parallel.swim_digest),
-                static_cast<unsigned long long>(parallel.log_digest),
+                static_cast<unsigned long long>(runs.parallel.events_executed),
+                static_cast<unsigned long long>(runs.parallel.epochs),
+                static_cast<unsigned long long>(runs.parallel.swim_digest),
+                static_cast<unsigned long long>(runs.parallel.log_digest),
                 violations.empty() ? "ok" : "VIOLATIONS");
-    for (const Violation& v : violations) {
-      std::printf("  %s\n", v.message.c_str());
+    for (const std::string& v : violations) {
+      std::printf("  %s\n", v.c_str());
     }
-    if (!opt.log_dir.empty()) {
-      WriteSeedArtifact(opt, seed, serial, parallel, replay, violations);
+    if (!common.log_dir.empty()) {
+      WriteSeedArtifact(opt, seed, runs, violations);
     }
   }
 
@@ -716,23 +602,18 @@ int Main(int argc, char** argv) {
 
   // The SLO gate runs over the cross-seed harness metrics (TryGet resolves
   // histogram `.p50`/`.p99` views) — a breach is a soak failure on its own.
-  const obs::SloReport slo = obs::EvaluateSlo(slo_spec.clauses, obs::MakeRegistryLookup(harness));
+  const obs::SloReport slo = obs::EvaluateSlo(*slo_clauses, obs::MakeRegistryLookup(harness));
   if (!slo.checks.empty()) {
     std::printf("%s", obs::FormatSloReport(slo).c_str());
   }
   all_ok = all_ok && slo.ok;
 
-  if (!opt.prom_path.empty()) {
-    const std::string prom_text = harness.PrometheusText() + last_prom;
-    std::string lint_error;
-    if (!PrometheusLint(prom_text, &lint_error)) {
-      std::printf("prom lint: %s\n", lint_error.c_str());
-      all_ok = false;
-    }
-    WriteFileOrWarn(opt.prom_path, prom_text);
+  if (!common.prom_path.empty()) {
+    all_ok = soak::WritePrometheus(kTool, common.prom_path, harness.PrometheusText() + last_prom,
+                                   "") &&
+             all_ok;
   }
-  std::printf("gossip_soak: %s\n", all_ok ? "all invariants held" : "FAILURES");
-  return all_ok ? 0 : 1;
+  return soak::Finish(kTool, all_ok);
 }
 
 }  // namespace

@@ -26,8 +26,11 @@ class TraceBuffer;
 #ifdef EMU_TRACE
 // The buffer bound to this thread, or nullptr when tracing is detached.
 // Bound by TraceSession::Install() (main thread -> shard 0) and by the
-// parallel runner around each shard epoch.
-extern thread_local TraceBuffer* tls_trace_buffer;
+// parallel runner around each shard epoch. `constinit` tells every including
+// TU that the variable needs no dynamic initialization, so the load below is
+// a plain thread-local access rather than a call through GCC's TLS init
+// wrapper (which UBSan builds flagged as a null-pointer load).
+extern constinit thread_local TraceBuffer* tls_trace_buffer;
 
 inline TraceBuffer* ActiveBuffer() { return tls_trace_buffer; }
 #else
