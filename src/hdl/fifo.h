@@ -6,6 +6,19 @@
 // modules sharing a BRAM FIFO. Depth is enforced against committed occupancy
 // plus same-cycle pushes.
 //
+// Storage is one power-of-two ring of T. From the head it holds the committed
+// items, then this cycle's pushes; a Pop moves the head slot's value out and
+// advances the head, a Push writes the slot after the last pending item. The
+// pending region starts at head + committed, which a pop leaves in place, so
+// Commit() moves no data: it folds the pending count into the committed count
+// (and wakes consumers when there were pushes). Every port operation and the
+// commit are O(1) on the busy path.
+//
+// Growth follows occupancy, not depth: a ring starts with no storage and
+// doubles only when a push finds it full, so a deep FIFO that never fills
+// costs no more memory than its peak occupancy (rounded up to a power of
+// two). Popped slots keep moved-from values (an empty Packet owns no heap).
+//
 // Design rule (enforced by emu-check in analysis builds): consult CanPush()
 // before Push() in the same cycle. A Push() that returns false without a
 // same-cycle CanPush() query is the LOSTBACKPRESSURE hazard — silently
@@ -16,9 +29,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/hdl/resource_model.h"
 #include "src/hdl/simulator.h"
@@ -67,7 +79,7 @@ class SyncFifo : public Clocked {
 
   // Committed occupancy minus same-cycle pops (what the consumer side sees).
   // A stalled FIFO reads as empty: the consumer port is frozen.
-  usize Size() const { return Stalled() ? 0 : items_.size() - pop_count_; }
+  usize Size() const { return Stalled() ? 0 : committed_; }
   bool Empty() const { return Size() == 0; }
 
   // Fault injection (emu-fault): freezes both ports for `cycles` cycles —
@@ -112,10 +124,14 @@ class SyncFifo : public Clocked {
           obs::EmitAsyncBegin(tb, name_, sim_.NowPs(), flight);
         }
       }
-      if (pending_push_.empty()) {
+      if (pending_ == 0) {
         sim_.AnnounceDirty(this);
       }
-      pending_push_.push_back(std::move(value));
+      if (committed_ + pending_ == capacity_) [[unlikely]] {
+        Grow();
+      }
+      ring_[(head_ + committed_ + pending_) & (capacity_ - 1)] = std::move(value);
+      ++pending_;
     }
 #ifdef EMU_ANALYSIS
     if (HazardMonitor* m = sim_.monitor()) {
@@ -134,7 +150,7 @@ class SyncFifo : public Clocked {
       m->OnFifoPop(this, name_);
     }
 #endif
-    return items_[pop_count_];
+    return ring_[head_];
   }
 
   T Pop() {
@@ -146,13 +162,14 @@ class SyncFifo : public Clocked {
       m->OnFifoPop(this, name_);
     }
 #endif
-    T value = std::move(items_[pop_count_]);
-    ++pop_count_;
-    if (pop_count_ == 1) {
-      // Deferring the commit-time erase would be state-neutral (Size/CanPush/
-      // Front already index past popped items), but an uncommitted pop
-      // backlog would grow without bound; enqueue a commit so popped storage
-      // is reclaimed at this edge.
+    T value = std::move(ring_[head_]);
+    head_ = (head_ + 1) & (capacity_ - 1);
+    --committed_;
+    if (++pop_count_ == 1) {
+      // A pop leaves Commit() nothing to move, but it still enqueues one:
+      // the dirty queue is the quiescence scan's "an edge is pending commit"
+      // test, so announcing pops keeps the run loop's edge, jump and
+      // fast-forward decisions what they are pinned to (busy_path_test).
       sim_.AnnounceDirty(this);
     }
     if (obs::TraceBuffer* tb = obs::ActiveBuffer()) {
@@ -168,23 +185,34 @@ class SyncFifo : public Clocked {
   }
 
   void Commit() override {
-    items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(pop_count_));
     pop_count_ = 0;
-    if (!pending_push_.empty()) {
+    if (pending_ != 0) {
       // Pushed items become visible to consumers at this edge's commit; wake
       // parked consumers for the next edge. (Pops need no commit-time wake:
       // Size/CanPush already accounted for them at Pop() time.)
+      committed_ += pending_;
+      pending_ = 0;
       sim_.NotifyWakeFor(this);
     }
-    for (auto& value : pending_push_) {
-      items_.push_back(std::move(value));
-    }
-    pending_push_.clear();
   }
 
  private:
-  bool CanPushRaw() const {
-    return !Stalled() && items_.size() - pop_count_ + pending_push_.size() < depth_;
+  bool CanPushRaw() const { return !Stalled() && committed_ + pending_ < depth_; }
+
+  // Doubles the ring (first allocation: one slot) and unwraps it so the head
+  // lands on slot 0. Only called by a push that found every slot in use, so
+  // the ring never outgrows the FIFO's peak occupancy rounded up to a power
+  // of two.
+  void Grow() {
+    const usize used = committed_ + pending_;
+    const usize capacity = capacity_ == 0 ? 1 : capacity_ * 2;
+    auto ring = std::make_unique<T[]>(capacity);
+    for (usize i = 0; i < used; ++i) {
+      ring[i] = std::move(ring_[(head_ + i) & (capacity_ - 1)]);
+    }
+    ring_ = std::move(ring);
+    capacity_ = capacity;
+    head_ = 0;
   }
 
   // Underflow/misuse is UB in RTL terms; stop with an attributable message
@@ -200,9 +228,12 @@ class SyncFifo : public Clocked {
   std::string name_;
   usize depth_;
   ResourceUsage resources_;
-  std::deque<T> items_;
-  std::vector<T> pending_push_;
-  usize pop_count_ = 0;
+  std::unique_ptr<T[]> ring_;
+  usize capacity_ = 0;   // slots in ring_: 0 or a power of two
+  usize head_ = 0;       // slot of the oldest committed, unpopped item
+  usize committed_ = 0;  // committed items not yet popped
+  usize pending_ = 0;    // this cycle's pushes, in the slots after the committed items
+  usize pop_count_ = 0;  // this cycle's pops
   Cycle stall_until_ = 0;
 };
 

@@ -239,7 +239,8 @@ inline u64 ElapsedNs(std::chrono::steady_clock::time_point start,
 
 }  // namespace
 
-usize Simulator::SweepProcesses(bool lazy, bool timed) {
+template <bool kTimed>
+usize Simulator::SweepProcesses(bool lazy) {
   usize pinned = 0;
   const usize count = processes_.size();
   const usize* order = order_.empty() ? nullptr : order_.data();
@@ -271,7 +272,7 @@ usize Simulator::SweepProcesses(bool lazy, bool timed) {
     ++stats.resumes;
     ++stats.cycles_awake;
     HwProcess& process = processes_[i].process;
-    if (timed) [[unlikely]] {
+    if constexpr (kTimed) {
       const auto start = std::chrono::steady_clock::now();
       process.Resume();
       stats.wall_ns += ElapsedNs(start, std::chrono::steady_clock::now());
@@ -288,22 +289,30 @@ usize Simulator::SweepProcesses(bool lazy, bool timed) {
   return pinned;
 }
 
-usize Simulator::ProfiledSweepAndCommit(bool lazy) {
-  ++phase_resume_.calls;
-  ++phase_commit_.calls;
-  // Phases are timed where the tick is 0 modulo the stride, per-process
-  // resumes half a stride later: a resume clock pair inside the phase window
-  // would bill its own cost to resume_dispatch. Under kFull (stride 1) both
-  // land on every edge.
-  const u64 tick = ++edge_tick_ % sample_stride_;
-  const bool time_resumes = tick == sample_stride_ / 2;
-  if (tick != 0) {
-    const usize pinned = SweepProcesses(lazy, time_resumes);
+usize Simulator::SampledSweepAndCommit(bool lazy) {
+  // Every edge since the last sampled one ran the plain path uncounted.
+  phase_resume_.calls += sample_reload_;
+  phase_commit_.calls += sample_reload_;
+  // Phases are timed on every stride-th edge and per-process resumes half a
+  // stride apart from them, so the sampled edges alternate between the two:
+  // a resume clock pair in the phase window would bill its own cost to
+  // resume_dispatch. Under stride 1 (kFull) both land on every edge.
+  bool time_phases = true;
+  bool time_resumes = true;
+  if (sample_stride_ > 1) {
+    time_phases = sample_phases_next_;
+    time_resumes = !time_phases;
+    sample_phases_next_ = !time_phases;
+    sample_reload_ = time_phases ? sample_stride_ / 2 : sample_stride_ - sample_stride_ / 2;
+  }
+  sample_countdown_ = sample_reload_;
+  if (!time_phases) {
+    const usize pinned = SweepProcesses<true>(lazy);
     CommitEdge();
     return pinned;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const usize pinned = SweepProcesses(lazy, time_resumes);
+  const usize pinned = time_resumes ? SweepProcesses<true>(lazy) : SweepProcesses<false>(lazy);
   const auto t1 = std::chrono::steady_clock::now();
   CommitEdge();
   const auto t2 = std::chrono::steady_clock::now();
@@ -313,6 +322,22 @@ usize Simulator::ProfiledSweepAndCommit(bool lazy) {
   phase_commit_.wall_ns += ElapsedNs(t1, t2);
   ++edges_timed_;
   return pinned;
+}
+
+void Simulator::SetProfilingMode(ProfilingMode mode, u64 sample_stride) {
+  // Bill the profiled edges since the last sampled one before the schedule
+  // restarts.
+  const u64 unbilled = UnbilledProfiledEdges();
+  phase_resume_.calls += unbilled;
+  phase_commit_.calls += unbilled;
+  profiling_mode_ = mode;
+  sample_stride_ = mode == ProfilingMode::kFull ? 1 : (sample_stride == 0 ? 1 : sample_stride);
+  sample_phases_next_ = false;
+  sample_reload_ = mode == ProfilingMode::kOff ? kNeverSample
+                   : sample_stride_ == 1      ? 1
+                                              : sample_stride_ / 2;
+  sample_countdown_ = sample_reload_;
+  scan_countdown_ = sample_stride_;
 }
 
 void Simulator::CommitEdge() {
@@ -350,11 +375,13 @@ void Simulator::Step() {
 #endif
   // Epoch-lazy parked-predicate evaluation is only an optimization shortcut;
   // with the fast path off every parked predicate is evaluated on every
-  // edge, which is the reference semantics.
-  if (profiling_mode_ != ProfilingMode::kOff) [[unlikely]] {
-    pinned_ = ProfiledSweepAndCommit(/*lazy=*/fast_path_);
+  // edge, which is the reference semantics. Only the profiler's sampled
+  // edges leave this path, so an unsampled edge costs the same in every
+  // profiling mode.
+  if (--sample_countdown_ == 0) [[unlikely]] {
+    pinned_ = SampledSweepAndCommit(/*lazy=*/fast_path_);
   } else {
-    pinned_ = SweepProcesses(/*lazy=*/fast_path_, /*timed=*/false);
+    pinned_ = SweepProcesses<false>(/*lazy=*/fast_path_);
     CommitEdge();
   }
   ++now_;
@@ -505,11 +532,10 @@ Cycle Simulator::ProfiledQuiescentWindow(Cycle budget) {
     return QuiescentWindow(budget);
   }
   ++phase_scan_.calls;
-  const bool timed =
-      profiling_mode_ == ProfilingMode::kFull || (++scan_tick_ % sample_stride_) == 0;
-  if (!timed) {
+  if (--scan_countdown_ != 0) {
     return QuiescentWindow(budget);
   }
+  scan_countdown_ = sample_stride_;
   const auto t0 = std::chrono::steady_clock::now();
   const Cycle window = QuiescentWindow(budget);
   ++phase_scan_.timed_calls;
@@ -611,6 +637,8 @@ SimProfile Simulator::ProfileReport() const {
   profile.edges_timed = edges_timed_;
   profile.resume_dispatch = phase_resume_;
   profile.commit_sweep = phase_commit_;
+  profile.resume_dispatch.calls += UnbilledProfiledEdges();
+  profile.commit_sweep.calls += UnbilledProfiledEdges();
   profile.quiescence_scan = phase_scan_;
   profile.fast_forward = phase_fast_forward_;
   profile.processes.reserve(processes_.size());

@@ -343,11 +343,11 @@ class Simulator {
   // so the per-resume clock reads stay out of the phase estimates and the
   // clock reads amortize to a few per stride edges — cheap enough to leave
   // on for soak runs (bench/microbench_kernel --profile-overhead gates it
-  // ≤5%).
-  void SetProfilingMode(ProfilingMode mode, u64 sample_stride = kDefaultProfilingStride) {
-    profiling_mode_ = mode;
-    sample_stride_ = mode == ProfilingMode::kFull ? 1 : (sample_stride == 0 ? 1 : sample_stride);
-  }
+  // ≤5%). The sampling schedule restarts here: resumes are timed on edge
+  // stride/2 and every stride edges after, phases on edge stride and every
+  // stride edges after (stride 1: both on every edge), scans on every
+  // stride-th scan.
+  void SetProfilingMode(ProfilingMode mode, u64 sample_stride = kDefaultProfilingStride);
   ProfilingMode profiling_mode() const { return profiling_mode_; }
   SimProfile ProfileReport() const;
 
@@ -450,19 +450,28 @@ class Simulator {
   void Reclassify(usize index);
 
   // Resumes/polls every due process once (one edge's worth of process work).
-  // `lazy` enables epoch/route-based parked-predicate skipping; `timed`
-  // wraps each resume in a steady_clock pair (per-process wall attribution).
+  // `lazy` enables epoch/route-based parked-predicate skipping; `kTimed`
+  // wraps each resume in a steady_clock pair (per-process wall attribution),
+  // so an untimed edge runs a loop with no clock branch at all.
   // Returns the number of slots pinning the next edge (see pinned_).
-  usize SweepProcesses(bool lazy, bool timed);
+  template <bool kTimed>
+  usize SweepProcesses(bool lazy);
 
   // Drains the dirty queue.
   void CommitEdge();
 
-  // One edge's sweep + commit with phase accounting (profiling_mode_ !=
-  // kOff): counts every edge, times the phases on one edge in
-  // sample_stride_ and the per-process resumes on another. Returns the
-  // sweep's pinned count.
-  usize ProfiledSweepAndCommit(bool lazy);
+  // The sweep + commit of an edge the profiler samples (sample_countdown_
+  // reached 0): bills the profiled edges since the last sample to the phase
+  // call counts, times either the phases or the per-process resumes (both
+  // under stride 1) and reloads the countdown. Returns the sweep's pinned
+  // count.
+  usize SampledSweepAndCommit(bool lazy);
+
+  // Profiled edges that ran since the last sampled edge and are not yet in
+  // the phase call counts.
+  u64 UnbilledProfiledEdges() const {
+    return profiling_mode_ == ProfilingMode::kOff ? 0 : sample_reload_ - sample_countdown_;
+  }
 
   // QuiescentWindow with phase accounting; falls through to the plain scan
   // when profiling is off.
@@ -578,8 +587,15 @@ class Simulator {
   // phase accumulators only move while profiling_mode_ != kOff.
   ProfilingMode profiling_mode_ = ProfilingMode::kOff;
   u64 sample_stride_ = kDefaultProfilingStride;
-  u64 edge_tick_ = 0;  // sampled-mode stride counters (edges / scans)
-  u64 scan_tick_ = 0;
+  // Sampling schedule (reset by SetProfilingMode). Step decrements
+  // sample_countdown_ on every edge and samples the edge that takes it to 0;
+  // sample_reload_ is the value it was last loaded with. kOff loads
+  // kNeverSample, which no run reaches. Scans count down separately.
+  static constexpr u64 kNeverSample = ~u64{0};
+  u64 sample_countdown_ = kNeverSample;
+  u64 sample_reload_ = kNeverSample;
+  bool sample_phases_next_ = false;  // the next sampled edge times phases (else resumes)
+  u64 scan_countdown_ = kDefaultProfilingStride;
   u64 edges_timed_ = 0;
   PhaseProfile phase_resume_;
   PhaseProfile phase_commit_;

@@ -1,6 +1,7 @@
 #include "src/netfpga/output_queues.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/netfpga/axis.h"
 
@@ -34,13 +35,16 @@ HwProcess OutputQueues::MakeFanoutProcess() {
     Packet frame = core_out_.Pop();
     frame.set_core_egress_cycle(sim().now());
     const usize words = WordsForBytes(frame.size(), bus_bytes_);
-    const u8 mask = frame.dst_port_mask();
-    for (u8 port = 0; port < kNetFpgaPortCount; ++port) {
+    const unsigned mask = frame.dst_port_mask() & ((1u << kNetFpgaPortCount) - 1);
+    // The highest destination port takes the frame itself; only the ports
+    // before it get copies, so a unicast frame is never copied.
+    const int last = std::bit_width(mask) - 1;
+    for (int port = 0; port <= last; ++port) {
       if ((mask >> port) & 1u) {
         // Deliberate tail-drop: check CanPush so the drop is observed
         // backpressure, not an emu-check LOSTBACKPRESSURE hazard.
         if (tx_fifos_[port]->CanPush()) {
-          tx_fifos_[port]->Push(frame);
+          tx_fifos_[port]->Push(port == last ? std::move(frame) : frame);
         } else {
           ++tx_drops_;
         }

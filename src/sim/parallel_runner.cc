@@ -53,16 +53,20 @@ bool ParallelRunner::PlanEpoch(usize budget) {
   // order worker threads pushed the frames.
   for (auto& entry : shards_) {
     Shard& shard = *entry;
-    std::vector<PendingDelivery> pending;
+    // The drain buffer trades places with the inbox, so both vectors keep
+    // their capacity across epochs and a steady state allocates nothing.
+    std::vector<PendingDelivery>& pending = shard.drain;
     {
       std::lock_guard<std::mutex> lock(shard.inbox_mu);
       pending.swap(shard.inbox);
     }
-    std::sort(pending.begin(), pending.end(),
-              [](const PendingDelivery& a, const PendingDelivery& b) {
-                return std::tie(a.arrival, a.link_id, a.seq) <
-                       std::tie(b.arrival, b.link_id, b.seq);
-              });
+    if (pending.size() > 1) {
+      std::sort(pending.begin(), pending.end(),
+                [](const PendingDelivery& a, const PendingDelivery& b) {
+                  return std::tie(a.arrival, a.link_id, a.seq) <
+                         std::tie(b.arrival, b.link_id, b.seq);
+                });
+    }
     drained += pending.size();
     for (PendingDelivery& delivery : pending) {
       shard.scheduler->At(delivery.arrival,
@@ -71,14 +75,16 @@ bool ParallelRunner::PlanEpoch(usize budget) {
                             link->CompleteRemote(std::move(frame), to_b);
                           });
     }
+    pending.clear();
   }
   frames_drained_ += drained;
 
   bool any_pending = false;
-  std::vector<Picoseconds> next(shards_.size(), kNever);
+  std::vector<Picoseconds>& lb = lb_scratch_;
+  lb.assign(shards_.size(), kNever);
   for (usize i = 0; i < shards_.size(); ++i) {
     if (!shards_[i]->scheduler->Empty()) {
-      next[i] = shards_[i]->scheduler->NextEventTime();
+      lb[i] = shards_[i]->scheduler->NextEventTime();
       any_pending = true;
     }
   }
@@ -91,8 +97,8 @@ bool ParallelRunner::PlanEpoch(usize budget) {
   // next-event times through the cut edges to a fixpoint — batched
   // Chandy-Misra null messages; positive lookaheads guarantee convergence in
   // at most |shards| sweeps — so lb[i] bounds the earliest time shard i can
-  // execute ANY event this epoch, woken or not.
-  std::vector<Picoseconds> lb = next;
+  // execute ANY event this epoch, woken or not. lb starts as the
+  // next-event times gathered above.
   u64 sweeps = 0;
   u64 relaxations = 0;
   for (bool changed = true; changed;) {

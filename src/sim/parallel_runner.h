@@ -131,6 +131,8 @@ class ParallelRunner {
     std::vector<InboundEdge> inbound;
     std::mutex inbox_mu;
     std::vector<PendingDelivery> inbox;
+    // PlanEpoch's drain buffer (coordinator only; empty between plans).
+    std::vector<PendingDelivery> drain;
     // Per-epoch plan (written at the barrier, read by one worker).
     Picoseconds horizon = 0;
     usize budget = 0;
@@ -154,6 +156,8 @@ class ParallelRunner {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ShardCut> cuts_;
   u64 next_link_id_ = 0;
+  // PlanEpoch's per-shard earliest-action bounds, reused across epochs.
+  std::vector<Picoseconds> lb_scratch_;
   u64 epochs_ = 0;
   u64 relax_sweeps_ = 0;
   u64 null_message_relaxations_ = 0;

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/hdl/fifo.h"
 #include "src/hdl/module.h"
 #include "src/hdl/process.h"
 #include "src/hdl/resource_model.h"
 #include "src/hdl/signal.h"
 #include "src/hdl/simulator.h"
+#include "src/net/packet.h"
 
 namespace emu {
 namespace {
@@ -268,6 +272,184 @@ TEST(SyncFifo, ProducerConsumerAcrossBackpressure) {
   ASSERT_TRUE(sim.RunUntil([&] { return out.size() == 20; }, 200));
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(out[static_cast<usize>(i)], i);
+  }
+}
+
+// Reference model of SyncFifo's RTL semantics in its simplest form: a deque
+// of committed items, a vector of same-cycle pushes, and a count of
+// same-cycle pops that Commit erases. The ring-buffer SyncFifo must agree with
+// it on every observable after every operation.
+class ReferenceFifo {
+ public:
+  explicit ReferenceFifo(usize depth) : depth_(depth) {}
+
+  usize Size(Cycle now) const { return Stalled(now) ? 0 : items_.size() - pop_count_; }
+  bool CanPush(Cycle now) const {
+    return !Stalled(now) && items_.size() - pop_count_ + pending_.size() < depth_;
+  }
+  bool Push(Cycle now, std::vector<u8> bytes) {
+    if (!CanPush(now)) {
+      return false;
+    }
+    pending_.push_back(std::move(bytes));
+    return true;
+  }
+  const std::vector<u8>& Front() const { return items_[pop_count_]; }
+  std::vector<u8> Pop() { return items_[pop_count_++]; }
+  void Commit() {
+    items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(pop_count_));
+    pop_count_ = 0;
+    for (auto& bytes : pending_) {
+      items_.push_back(std::move(bytes));
+    }
+    pending_.clear();
+  }
+  void InjectStall(Cycle now, Cycle cycles) { stall_until_ = std::max(stall_until_, now + cycles); }
+
+ private:
+  bool Stalled(Cycle now) const { return now < stall_until_; }
+
+  usize depth_;
+  std::deque<std::vector<u8>> items_;
+  std::vector<std::vector<u8>> pending_;
+  usize pop_count_ = 0;
+  Cycle stall_until_ = 0;
+};
+
+std::vector<u8> BytesOf(const Packet& frame) {
+  return std::vector<u8>(frame.bytes().begin(), frame.bytes().end());
+}
+
+// Drives a SyncFifo<Packet> and the reference model through the same calls
+// and checks every observable after each one.
+class FifoDifferential {
+ public:
+  explicit FifoDifferential(usize depth) : fifo_(sim_, "dut", depth, 64), ref_(depth) {}
+
+  void Push(std::vector<u8> bytes) {
+    const bool accepted = fifo_.Push(Packet(bytes));
+    EXPECT_EQ(accepted, ref_.Push(sim_.now(), std::move(bytes)));
+    Check();
+  }
+  void Pop() {
+    const Packet popped = fifo_.Pop();
+    EXPECT_EQ(BytesOf(popped), ref_.Pop());
+    Check();
+  }
+  void Step() {
+    sim_.Step();
+    ref_.Commit();
+    Check();
+  }
+  void InjectStall(Cycle cycles) {
+    ref_.InjectStall(sim_.now(), cycles);
+    fifo_.InjectStall(cycles);
+    Check();
+  }
+  void Check() {
+    const Cycle now = sim_.now();
+    ASSERT_EQ(fifo_.Size(), ref_.Size(now)) << "cycle " << now;
+    ASSERT_EQ(fifo_.Empty(), ref_.Size(now) == 0);
+    ASSERT_EQ(fifo_.CanPush(), ref_.CanPush(now));
+    if (!fifo_.Empty()) {
+      ASSERT_EQ(BytesOf(fifo_.Front()), ref_.Front());
+    }
+  }
+  SyncFifo<Packet>& fifo() { return fifo_; }
+
+ private:
+  Simulator sim_;
+  SyncFifo<Packet> fifo_;
+  ReferenceFifo ref_;
+};
+
+std::vector<u8> NumberedBytes(u32 n) {
+  return {static_cast<u8>(n), static_cast<u8>(n >> 8), static_cast<u8>(n >> 16), 0x5a};
+}
+
+TEST(SyncFifo, MatchesReferenceModelUnderRandomTraffic) {
+  for (const usize depth : {1u, 2u, 3u, 8u, 64u, 1024u}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    Rng rng(0xF1F0 + depth);
+    FifoDifferential diff(depth);
+    u32 serial = 0;
+    // Push-heavy and pop-heavy phases alternate so every depth is driven to
+    // full and back to empty repeatedly (the head wraps and the ring grows
+    // along the way).
+    double push_bias = 0.5;
+    for (int op = 0; op < 40000 && !::testing::Test::HasFatalFailure(); ++op) {
+      if (op % 512 == 0) {
+        push_bias = 0.15 + 0.7 * static_cast<double>(rng.NextBelow(3)) / 2.0;
+      }
+      const u64 roll = rng.NextBelow(1000);
+      if (roll < 2) {
+        diff.InjectStall(1 + rng.NextBelow(6));
+      } else if (roll < 150) {
+        diff.Step();
+      } else if (roll < 200) {
+        diff.fifo().CanPush();
+        diff.Check();
+      } else if (rng.NextDouble() < push_bias) {
+        std::vector<u8> bytes = NumberedBytes(serial++);
+        bytes.resize(4 + rng.NextBelow(60), static_cast<u8>(serial));
+        diff.Push(std::move(bytes));
+      } else if (!diff.fifo().Empty()) {
+        diff.Pop();
+      }
+    }
+  }
+}
+
+TEST(SyncFifo, GrowsWhileHeadIsWrapped) {
+  FifoDifferential diff(8);
+  u32 serial = 0;
+  for (int i = 0; i < 4; ++i) {
+    diff.Push(NumberedBytes(serial++));
+  }
+  diff.Step();
+  for (int i = 0; i < 3; ++i) {
+    diff.Pop();
+  }
+  diff.Step();
+  // The ring doubled 1 -> 2 -> 4 slots while filling; after three pops the
+  // head sits on slot 3, so these pushes wrap to slots 0-2 and the next push
+  // grows a full ring whose head is not at slot 0.
+  for (int i = 0; i < 3; ++i) {
+    diff.Push(NumberedBytes(serial++));
+  }
+  diff.Step();
+  for (int i = 0; i < 4; ++i) {
+    diff.Push(NumberedBytes(serial++));
+  }
+  diff.Step();
+  EXPECT_EQ(diff.fifo().Size(), 8u);
+  EXPECT_FALSE(diff.fifo().CanPush());
+  for (int i = 0; i < 8; ++i) {
+    diff.Pop();
+  }
+  diff.Step();
+  EXPECT_TRUE(diff.fifo().Empty());
+}
+
+TEST(SyncFifo, PushAtFullDepthInTheCycleOfAPop) {
+  for (const usize depth : {1u, 2u, 3u}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    FifoDifferential diff(depth);
+    u32 serial = 0;
+    for (usize i = 0; i < depth; ++i) {
+      diff.Push(NumberedBytes(serial++));
+    }
+    diff.Push(NumberedBytes(serial++));  // refused: full counting pending pushes
+    diff.Step();
+    for (int round = 0; round < 5; ++round) {
+      EXPECT_FALSE(diff.fifo().CanPush());
+      diff.Pop();
+      EXPECT_TRUE(diff.fifo().CanPush());
+      diff.Push(NumberedBytes(serial++));
+      EXPECT_FALSE(diff.fifo().CanPush());
+      diff.Step();
+      EXPECT_EQ(diff.fifo().Size(), depth);
+    }
   }
 }
 

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/core/targets.h"
 #include "src/net/ethernet.h"
 #include "src/netfpga/axis.h"
 #include "src/netfpga/dataplane.h"
+#include "src/netfpga/output_queues.h"
 #include "src/netfpga/pipeline.h"
 #include "src/services/learning_switch.h"
 
@@ -302,6 +307,91 @@ TEST(LearningSwitchCpu, LearnsAcrossDeliveries) {
   const auto out = target.Deliver(std::move(query));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].dst_port_mask(), 0b0010);  // unicast to port 1
+}
+
+// --- Output queues fan-out ---------------------------------------------------------
+
+struct EgressRecord {
+  u8 port;
+  Packet frame;
+};
+
+// Core-out FIFO + OutputQueues with a fan-out process and a drain on each of
+// `drained_ports`; egress frames are collected in `egress`.
+struct OutputQueuesBench {
+  OutputQueuesBench(usize tx_depth, std::initializer_list<u8> drained_ports)
+      : core_out(sim, "core_out", 8, 256), queues(sim, "oq", core_out, tx_depth, 32) {
+    queues.SetSink([this](u8 port, Packet frame) { egress.push_back({port, std::move(frame)}); });
+    sim.AddProcess(queues.MakeFanoutProcess(), "oq_fanout");
+    for (u8 port : drained_ports) {
+      sim.AddProcess(queues.MakeDrainProcess(port), "oq_drain" + std::to_string(port));
+    }
+  }
+
+  Simulator sim;
+  SyncFifo<Packet> core_out;
+  OutputQueues queues;
+  std::vector<EgressRecord> egress;
+};
+
+Packet MakeFanoutFrame(u8 mask, u64 trace_id) {
+  Packet frame = MakeTestFrame(kHostMac[3], kHostMac[0], 96);
+  frame.bytes()[60] = 0x3c;  // payload not all one value
+  frame.set_src_port(2);
+  frame.set_dst_port_mask(mask);
+  frame.set_ingress_time(123'456);
+  frame.set_core_ingress_cycle(7);
+  frame.set_trace_id(trace_id);
+  return frame;
+}
+
+std::vector<u8> FrameBytes(const Packet& frame) {
+  return std::vector<u8>(frame.bytes().begin(), frame.bytes().end());
+}
+
+TEST(OutputQueues, MulticastCopiesAreIdenticalOnEveryMaskedPort) {
+  OutputQueuesBench bench(4, {0, 1, 2, 3});
+  const Packet sent = MakeFanoutFrame(0b1011, 42);
+  ASSERT_TRUE(bench.core_out.Push(sent));
+  ASSERT_TRUE(bench.sim.RunUntil([&] { return bench.egress.size() == 3; }, 10'000));
+  bench.sim.Run(1'000);  // nothing else may leave (port 2 is not in the mask)
+  ASSERT_EQ(bench.egress.size(), 3u);
+  std::vector<u8> ports;
+  for (const EgressRecord& record : bench.egress) {
+    ports.push_back(record.port);
+    const Packet& got = record.frame;
+    EXPECT_EQ(FrameBytes(got), FrameBytes(sent));
+    EXPECT_EQ(got.src_port(), sent.src_port());
+    EXPECT_EQ(got.dst_port_mask(), sent.dst_port_mask());
+    EXPECT_EQ(got.ingress_time(), sent.ingress_time());
+    EXPECT_EQ(got.core_ingress_cycle(), sent.core_ingress_cycle());
+    EXPECT_EQ(got.trace_id(), sent.trace_id());
+    EXPECT_EQ(got.core_egress_cycle(), bench.egress[0].frame.core_egress_cycle());
+    EXPECT_EQ(got.egress_time(), bench.egress[0].frame.egress_time());
+  }
+  std::sort(ports.begin(), ports.end());
+  EXPECT_EQ(ports, (std::vector<u8>{0, 1, 3}));
+  EXPECT_EQ(bench.queues.tx_drops(), 0u);
+}
+
+TEST(OutputQueues, FullLastPortTailDropsWithoutLosingEarlierCopies) {
+  // Port 3 has no drain, so one frame fills its depth-1 tx FIFO.
+  OutputQueuesBench bench(1, {0, 1});
+  ASSERT_TRUE(bench.core_out.Push(MakeFanoutFrame(0b1000, 1)));
+  bench.sim.Run(100);
+  EXPECT_EQ(bench.queues.tx_drops(), 0u);
+  const Packet sent = MakeFanoutFrame(0b1011, 2);
+  ASSERT_TRUE(bench.core_out.Push(sent));
+  ASSERT_TRUE(bench.sim.RunUntil([&] { return bench.egress.size() == 2; }, 10'000));
+  bench.sim.Run(1'000);
+  EXPECT_EQ(bench.queues.tx_drops(), 1u);  // port 3's copy
+  ASSERT_EQ(bench.egress.size(), 2u);
+  for (const EgressRecord& record : bench.egress) {
+    EXPECT_TRUE(record.port == 0 || record.port == 1);
+    EXPECT_EQ(FrameBytes(record.frame), FrameBytes(sent));
+    EXPECT_EQ(record.frame.trace_id(), 2u);
+  }
+  EXPECT_NE(bench.egress[0].port, bench.egress[1].port);
 }
 
 // --- Throughput sanity at line rate ------------------------------------------------
