@@ -90,7 +90,8 @@ ClusterResult RunCluster(usize nodes, usize threads, usize requests_per_host) {
                      MacAddress::FromU48(0x02'00'00'00'c1'00ULL + i),
                      Ipv4Address(10, 0, 0, static_cast<u8>(50 + i))});
   }
-  ShardedTopology topo(service_ptrs, specs, topo_config);
+  TopologyBuilder topo;
+  topo.AddCluster(service_ptrs, specs, topo_config);
 
   std::vector<u64> digests(nodes, kFnvOffset);
   std::vector<u64> replies(nodes, 0);
@@ -294,7 +295,8 @@ SoakDigest RunNatSoak(u64 seed, usize threads) {
   const std::vector<HostSpec> specs = {
       {"ext", MacAddress::FromU48(0x02ffffffff01), Ipv4Address(8, 8, 8, 8)},
       {"int", MacAddress::FromU48(0x020000001110), Ipv4Address(192, 168, 1, 10)}};
-  ShardedTopology topo(service, specs);
+  TopologyBuilder topo;
+  topo.AddStar(service, specs);
 
   FaultRegistry registry(seed);
   service.RegisterFaultPoints(registry);

@@ -168,7 +168,8 @@ std::vector<Finding> LintShardedNat(bool dot) {
   const std::vector<HostSpec> specs = {
       {"ext", MacAddress::FromU48(0x02ffffffff01), Ipv4Address(8, 8, 8, 8)},
       {"int", MacAddress::FromU48(0x020000001110), Ipv4Address(192, 168, 1, 10)}};
-  ShardedTopology topo(service, specs);
+  TopologyBuilder topo;
+  topo.AddStar(service, specs);
   std::vector<Finding> findings =
       Elaborate(topo.node(0).target().sim(), "sharded_nat.node0", dot);
   elab::CheckShardCuts(topo.runner(), "sharded_nat", findings);

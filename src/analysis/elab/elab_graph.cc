@@ -475,8 +475,8 @@ ScheduleResult ElabGraph::StaticSchedule() const {
   }
   // Kahn with a min-heap on registration index: the minimal-lexicographic
   // topological order. When registration order is already valid (no
-  // COMBRACE, no COMBLOOP) the result IS registration order, which is what
-  // makes AdoptSchedule bit-exact by construction on clean designs.
+  // COMBRACE, no COMBLOOP) the result IS registration order, the order the
+  // kernel resumes processes in.
   std::priority_queue<usize, std::vector<usize>, std::greater<>> ready;
   for (usize p = 0; p < n; ++p) {
     if (indegree[p] == 0) {

@@ -16,11 +16,12 @@
 // meaningless on a partially-declared design and only run when every
 // process declared its IO (`fully_declared()`).
 //
-// StaticSchedule() is the emu-speed landing pad: a topological order of
-// processes consistent with declared wire dataflow, minimal-lexicographic on
+// StaticSchedule() is a lint result: a topological order of processes
+// consistent with declared wire dataflow, minimal-lexicographic on
 // registration index, so a design whose registration order is already valid
-// gets back exactly that order — which is what makes Simulator::
-// AdoptSchedule() provably bit-exact for race-free designs.
+// gets back exactly that order. A different order means registration order
+// races declared dataflow (the COMBRACE finding says where); the kernel
+// always resumes processes in registration order.
 #ifndef SRC_ANALYSIS_ELAB_ELAB_GRAPH_H_
 #define SRC_ANALYSIS_ELAB_ELAB_GRAPH_H_
 

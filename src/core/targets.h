@@ -48,8 +48,8 @@ class FpgaTarget {
   bool RunUntilEgressCount(usize count, Cycle limit);
 
   // Options for RunUntilEgress. `threads` selects the parallel sharded
-  // runner (emu-par) where the target has shardable structure: a sharded
-  // topology (ShardedTopology, src/sim/topology.h) runs one worker thread
+  // runner (emu-par) where the target has shardable structure: a
+  // per-element TopologyBuilder (src/sim/topology.h) runs one worker thread
   // per shard group. A lone FpgaTarget pipeline is a single clock domain —
   // one Simulator whose processes share state every cycle — so values above
   // 1 are accepted here for API uniformity but execute on the serial

@@ -48,29 +48,11 @@ usize Simulator::AddProcess(HwProcess process, std::string name) {
   processes_.push_back(NamedProcess{std::move(process), std::move(name)});
   sched_.push_back(Slot{});
   stats_.push_back(ProcessStats{});
-  if (!order_.empty()) {
-    // A schedule was already adopted: late registrations run after it, in
-    // their own registration order.
-    order_.push_back(index);
-  }
   // A process registered now has (by definition) no IO declaration the route
   // table was built from: routed wakes can no longer prove watcher
   // completeness, so fall back to global wake epochs.
   DisableWakeRouting();
   return index;
-}
-
-void Simulator::AdoptSchedule(std::vector<usize> order) {
-  assert(order.size() == processes_.size());
-#ifndef NDEBUG
-  // Must be a permutation of the registration indices.
-  std::vector<bool> seen(processes_.size(), false);
-  for (usize index : order) {
-    assert(index < processes_.size() && !seen[index]);
-    seen[index] = true;
-  }
-#endif
-  order_ = std::move(order);
 }
 
 void Simulator::BuildWakeRoutes() {
@@ -243,9 +225,7 @@ template <bool kTimed>
 usize Simulator::SweepProcesses(bool lazy) {
   usize pinned = 0;
   const usize count = processes_.size();
-  const usize* order = order_.empty() ? nullptr : order_.data();
-  for (usize pos = 0; pos < count; ++pos) {
-    const usize i = order != nullptr ? order[pos] : pos;
+  for (usize i = 0; i < count; ++i) {
     Slot& slot = sched_[i];
     if (slot.state == Slot::kDone) {
       continue;
@@ -411,9 +391,7 @@ void Simulator::StepInstrumented() {
       std::abort();
     }
   }
-  const usize* order = order_.empty() ? nullptr : order_.data();
-  for (usize pos = 0; pos < processes_.size(); ++pos) {
-    const usize i = order != nullptr ? order[pos] : pos;
+  for (usize i = 0; i < processes_.size(); ++i) {
     current_process_ = static_cast<isize>(i);
     if (monitor_ != nullptr) {
       monitor_->OnProcessResume(i, processes_[i].name);

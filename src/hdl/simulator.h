@@ -376,14 +376,6 @@ class Simulator {
   }
   elab::Elaboration* elaboration() const { return elaboration_; }
 
-  // Adopts a static process execution order: Step() resumes processes in
-  // `order` (a permutation of current registration indices) instead of
-  // registration order. Produced by ElabGraph::StaticSchedule(); the
-  // equivalence suite proves adoption is bit-exact for race-free designs.
-  // Processes registered after adoption append to the end of the order.
-  void AdoptSchedule(std::vector<usize> order);
-  bool has_schedule() const { return !order_.empty(); }
-
   // True while NotifyWakeFor routes to declared watchers (see the header
   // comment): set by the first Run/RunUntil when every process is
   // IO-declared, cleared by a later AddProcess.
@@ -539,7 +531,6 @@ class Simulator {
   Cycle now_ = 0;
   std::vector<NamedProcess> processes_;
   std::vector<Slot> sched_;   // parallel to processes_
-  std::vector<usize> order_;  // adopted schedule; empty = registration order
   elab::Catalog catalog_;
   elab::Elaboration* elaboration_ = nullptr;
   bool preflight_done_ = false;

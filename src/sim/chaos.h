@@ -1,6 +1,6 @@
 // ChaosDirector: applies a FaultPlan's topology-scoped events (host crash /
 // restart / partition windows, emu-gossip) to a TopologyBuilder-built
-// topology (HubTopology included).
+// topology (the AddHubStar shape included).
 //
 // The events are RNG-free and statically known, so Apply() does everything
 // determinism needs up front, before any shard thread runs:
@@ -36,8 +36,6 @@ class ChaosDirector {
   // a hub (host i on hub port i) to block port pairs on.
   explicit ChaosDirector(TopologyBuilder& topo, FaultRegistry* registry = nullptr)
       : topo_(topo), registry_(registry) {}
-  explicit ChaosDirector(HubTopology& topo, FaultRegistry* registry = nullptr)
-      : ChaosDirector(topo.builder(), registry) {}
 
   // Boot window charged by every `restart` event (default 5 ms: a fast
   // kexec-style reboot on the simulated timeline).

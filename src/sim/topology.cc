@@ -6,20 +6,49 @@
 
 namespace emu {
 
-TopologyBuilder::TopologyBuilder(Mode mode) : mode_(mode) {
-  if (mode_ == Mode::kFlat) {
-    flat_scheduler_ = std::make_unique<EventScheduler>();
+TopologyBuilder::TopologyBuilder(Placement placement) : placement_(placement) {}
+
+EventScheduler& TopologyBuilder::NewScheduler(usize& shard_out) {
+  // kSingle creates shard 0's scheduler once and places every later element
+  // on it.
+  if (placement_ == Placement::kPerElement || schedulers_.empty()) {
+    schedulers_.push_back(std::make_unique<EventScheduler>());
+    runner_.AddShard(*schedulers_.back());
+  }
+  shard_out = schedulers_.size() - 1;
+  return *schedulers_.back();
+}
+
+void TopologyBuilder::AddStar(Service& service, const std::vector<HostSpec>& hosts,
+                              const StarTopologyConfig& config) {
+  assert(hosts.size() <= kNetFpgaPortCount);
+  ServiceNode& node = AddServiceNode(service);
+  for (usize i = 0; i < hosts.size(); ++i) {
+    LinkHostToNode(AddHost(hosts[i]), node, static_cast<u8>(i), config);
   }
 }
 
-EventScheduler& TopologyBuilder::NewScheduler(usize& shard_out) {
-  if (mode_ == Mode::kFlat) {
-    shard_out = 0;
-    return *flat_scheduler_;
+void TopologyBuilder::AddCluster(const std::vector<Service*>& services,
+                                 const std::vector<HostSpec>& hosts,
+                                 const StarTopologyConfig& config) {
+  assert(services.size() == hosts.size());
+  for (usize i = 0; i < hosts.size(); ++i) {
+    assert(services[i] != nullptr);
+    ServiceNode& node = AddServiceNode(*services[i]);
+    LinkHostToNode(AddHost(hosts[i]), node, /*port=*/0, config);
   }
-  schedulers_.push_back(std::make_unique<EventScheduler>());
-  shard_out = runner_.AddShard(*schedulers_.back());
-  return *schedulers_.back();
+}
+
+void TopologyBuilder::AddHubStar(const std::vector<HostSpec>& hosts,
+                                 const StarTopologyConfig& config) {
+  assert(hub_ == nullptr && "one hub per topology");
+  hub_ = std::make_unique<HubNode>(NewScheduler(hub_shard_), hosts.size());
+  for (usize i = 0; i < hosts.size(); ++i) {
+    SimHost& host = AddHost(hosts[i]);
+    Link& link = MakeUplink(host, config);
+    hub_->AttachPort(i, &link, /*is_end_a=*/false);
+    RouteBothWays(link, host_shards_.back(), hub_shard_);
+  }
 }
 
 ServiceNode& TopologyBuilder::AddServiceNode(Service& service) {
@@ -28,13 +57,6 @@ ServiceNode& TopologyBuilder::AddServiceNode(Service& service) {
   nodes_.push_back(std::make_unique<ServiceNode>(scheduler, service));
   node_shards_.push_back(shard);
   return *nodes_.back();
-}
-
-HubNode& TopologyBuilder::AddHub(usize ports) {
-  assert(hub_ == nullptr && "one hub per topology");
-  EventScheduler& scheduler = NewScheduler(hub_shard_);
-  hub_ = std::make_unique<HubNode>(scheduler, ports);
-  return *hub_;
 }
 
 SimHost& TopologyBuilder::AddHost(const HostSpec& spec) {
@@ -57,7 +79,7 @@ usize TopologyBuilder::HostIndex(const SimHost& host) const {
 }
 
 Link& TopologyBuilder::MakeUplink(SimHost& host, const StarTopologyConfig& config) {
-  // The link lives on the host's scheduler, host on end A — the StarTopology
+  // The link lives on the host's scheduler, host on end A — the
   // convention every shape (and ChaosDirector's gate scheduling) relies on.
   links_.push_back(std::make_unique<Link>(host.scheduler(), config.link_bits_per_second,
                                           config.link_delay));
@@ -68,8 +90,8 @@ Link& TopologyBuilder::MakeUplink(SimHost& host, const StarTopologyConfig& confi
 }
 
 void TopologyBuilder::RouteBothWays(Link& link, usize host_shard, usize peer_shard) {
-  if (mode_ == Mode::kFlat) {
-    return;
+  if (host_shard == peer_shard) {
+    return;  // both ends on one scheduler: the link delivers locally
   }
   runner_.ConnectDirection(link, /*to_b=*/true, host_shard, peer_shard);
   runner_.ConnectDirection(link, /*to_b=*/false, peer_shard, host_shard);
@@ -91,25 +113,6 @@ Link& TopologyBuilder::LinkHostToNode(SimHost& host, ServiceNode& node, u8 port,
   return link;
 }
 
-Link& TopologyBuilder::LinkHostToHub(SimHost& host, HubNode& hub, usize port,
-                                     const StarTopologyConfig& config) {
-  assert(&hub == hub_.get() && "hub not owned by this builder");
-  const usize host_index = HostIndex(host);
-  Link& link = MakeUplink(host, config);
-  hub.AttachPort(port, &link, /*is_end_a=*/false);
-  RouteBothWays(link, host_shards_[host_index], hub_shard_);
-  return link;
-}
-
-void TopologyBuilder::EnableLinkImpairment(Link& link, FaultRegistry& registry,
-                                           const std::string& prefix) {
-  // Distinct per-direction prefixes: each direction's points are sampled on
-  // its own sending shard, which is what lets impairment compose with
-  // cross-shard routing (the shared form would race two sender shards).
-  link.EnableImpairment(/*to_b=*/true, registry, prefix + ".up");
-  link.EnableImpairment(/*to_b=*/false, registry, prefix + ".down");
-}
-
 usize TopologyBuilder::EnableAllUplinkImpairment(FaultRegistry& registry,
                                                  const std::string& prefix) {
   usize enabled = 0;
@@ -117,24 +120,15 @@ usize TopologyBuilder::EnableAllUplinkImpairment(FaultRegistry& registry,
     if (uplinks_[i] == nullptr) {
       continue;
     }
-    EnableLinkImpairment(*uplinks_[i], registry, prefix + "." + hosts_[i]->name());
+    // Distinct per-direction prefixes: each direction's points are sampled
+    // on its own sending shard, which is what lets impairment compose with
+    // cross-shard routing (a shared point would race two sender shards).
+    const std::string link_prefix = prefix + "." + hosts_[i]->name();
+    uplinks_[i]->EnableImpairment(/*to_b=*/true, registry, link_prefix + ".up");
+    uplinks_[i]->EnableImpairment(/*to_b=*/false, registry, link_prefix + ".down");
     ++enabled;
   }
   return enabled;
-}
-
-u64 TopologyBuilder::Run(const ParallelRunOptions& opts) {
-  if (mode_ == Mode::kFlat) {
-    const u64 before = flat_scheduler_->executed();
-    flat_scheduler_->Run(opts.max_events);
-    return flat_scheduler_->executed() - before;
-  }
-  return runner_.Run(opts);
-}
-
-EventScheduler& TopologyBuilder::scheduler() {
-  assert(mode_ == Mode::kFlat && "sharded topologies have one scheduler per shard");
-  return *flat_scheduler_;
 }
 
 usize TopologyBuilder::FindHost(const std::string& name) const {
@@ -144,55 +138,6 @@ usize TopologyBuilder::FindHost(const std::string& name) const {
     }
   }
   return hosts_.size();
-}
-
-StarTopology::StarTopology(Service& service, std::vector<HostSpec> specs,
-                           StarTopologyConfig config)
-    : builder_(TopologyBuilder::Mode::kFlat) {
-  assert(specs.size() <= kNetFpgaPortCount);
-  ServiceNode& node = builder_.AddServiceNode(service);
-  for (usize i = 0; i < specs.size(); ++i) {
-    SimHost& host = builder_.AddHost(specs[i]);
-    builder_.LinkHostToNode(host, node, static_cast<u8>(i), config);
-  }
-}
-
-void StarTopology::Run(usize max_events) {
-  ParallelRunOptions opts;
-  opts.max_events = max_events;
-  builder_.Run(opts);
-}
-
-ShardedTopology::ShardedTopology(Service& service, std::vector<HostSpec> specs,
-                                 StarTopologyConfig config)
-    : builder_(TopologyBuilder::Mode::kSharded) {
-  assert(specs.size() <= kNetFpgaPortCount);
-  ServiceNode& node = builder_.AddServiceNode(service);
-  for (usize i = 0; i < specs.size(); ++i) {
-    SimHost& host = builder_.AddHost(specs[i]);
-    builder_.LinkHostToNode(host, node, static_cast<u8>(i), config);
-  }
-}
-
-ShardedTopology::ShardedTopology(const std::vector<Service*>& services,
-                                 std::vector<HostSpec> specs, StarTopologyConfig config)
-    : builder_(TopologyBuilder::Mode::kSharded) {
-  assert(services.size() == specs.size());
-  for (usize i = 0; i < specs.size(); ++i) {
-    assert(services[i] != nullptr);
-    ServiceNode& node = builder_.AddServiceNode(*services[i]);
-    SimHost& host = builder_.AddHost(specs[i]);
-    builder_.LinkHostToNode(host, node, /*port=*/0, config);
-  }
-}
-
-HubTopology::HubTopology(std::vector<HostSpec> specs, StarTopologyConfig config)
-    : builder_(TopologyBuilder::Mode::kSharded) {
-  HubNode& hub = builder_.AddHub(specs.size());
-  for (usize i = 0; i < specs.size(); ++i) {
-    SimHost& host = builder_.AddHost(specs[i]);
-    builder_.LinkHostToHub(host, hub, i, config);
-  }
 }
 
 }  // namespace emu

@@ -2,10 +2,9 @@
 //
 // Every check in the static pass gets a deliberately-broken micro-design and
 // a minimally-different clean twin, so each finding is pinned to the exact
-// property it claims to detect. The schedule-inference half is proven the
-// only way that matters: adopt the inferred order on real designs (switch,
-// NAT, memcached) and require bit-exact agreement with registration-order
-// stepping.
+// property it claims to detect. Schedule inference is a lint result: on real
+// designs (switch, NAT, memcached) the inferred order must be registration
+// order, the order the kernel resumes processes in.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -331,7 +330,7 @@ TEST(ElabCheck, FaultTargetFlagsUnmatchedPattern) {
   EXPECT_EQ(findings[0].subject, "dns.cache");
 }
 
-// --- StaticSchedule: inference and adoption -----------------------------------
+// --- StaticSchedule: inference ------------------------------------------------
 
 TEST(StaticSchedule, IdentityWhenRegistrationOrderValid) {
   Simulator sim;
@@ -389,49 +388,7 @@ TEST(StaticSchedule, FailsOnCombLoop) {
   EXPECT_TRUE(schedule.order.empty());
 }
 
-// Adopting a reordering schedule changes semantics exactly as the schedule
-// promises: the reader observes its writer's same-cycle value.
-HwProcess AccumulateWire(Wire<int>& w, Reg<int>& sum) {
-  for (;;) {
-    sum.Write(sum.Read() + w.Read());
-    co_await Pause();
-  }
-}
-
-HwProcess CountIntoWire(Wire<int>& w, Reg<int>& counter) {
-  for (;;) {
-    counter.Write(counter.Read() + 1);
-    w.Write(counter.Read() + 1);
-    co_await Pause();
-  }
-}
-
-TEST(StaticSchedule, AdoptedScheduleFixesDeclaredRace) {
-  const auto run = [](bool adopt) {
-    Simulator sim;
-    Wire<int> w(sim, "raced", 0);
-    Reg<int> sum(sim, "sum", 0);
-    Reg<int> counter(sim, "counter", 0);
-    const usize reader = sim.AddProcess(AccumulateWire(w, sum), "reader");
-    const usize writer = sim.AddProcess(CountIntoWire(w, counter), "writer");
-    elab::IoDecl(sim.catalog(), reader).Reads(&w).Writes(&sum);
-    elab::IoDecl(sim.catalog(), writer).Writes(&w).Writes(&counter);
-    if (adopt) {
-      const auto schedule = elab::ElabGraph::FromSimulator(sim, "fix").StaticSchedule();
-      EXPECT_TRUE(schedule.ok);
-      sim.AdoptSchedule(schedule.order);
-      EXPECT_TRUE(sim.has_schedule());
-    }
-    sim.Run(4);
-    return sum.Read();
-  };
-  // Registration order: the reader sees last cycle's wire (one cycle stale).
-  // Inferred order runs the writer first: the reader sees this cycle's value.
-  EXPECT_EQ(run(false), 1 + 2 + 3);      // cycle i reads value written at i-1
-  EXPECT_EQ(run(true), 1 + 2 + 3 + 4);   // cycle i reads value written at i
-}
-
-// --- Schedule adoption on real designs: bit-exact by construction -------------
+// --- Inferred schedule on real designs: registration order ---------------------
 
 constexpr u64 kFnvOffset = 14695981039346656037ull;
 constexpr u64 kFnvPrime = 1099511628211ull;
@@ -455,10 +412,9 @@ struct EgressDigest {
   bool operator==(const EgressDigest&) const = default;
 };
 
-// Adopts the statically-inferred schedule when `adopt` is set; the inferred
-// order on these clean designs must also BE registration order (that is the
-// minimal-lexicographic guarantee), which makes bit-exactness structural.
-void MaybeAdopt(Simulator& sim, const std::string& design, bool adopt) {
+// The inferred order on these clean designs must BE registration order (the
+// minimal-lexicographic guarantee).
+void ExpectIdentitySchedule(Simulator& sim, const std::string& design) {
   const auto schedule = elab::ElabGraph::FromSimulator(sim, design).StaticSchedule();
   ASSERT_TRUE(schedule.ok) << schedule.error;
   std::vector<usize> identity(schedule.order.size());
@@ -466,15 +422,12 @@ void MaybeAdopt(Simulator& sim, const std::string& design, bool adopt) {
     identity[i] = i;
   }
   EXPECT_EQ(schedule.order, identity) << design << ": clean design should keep its order";
-  if (adopt) {
-    sim.AdoptSchedule(schedule.order);
-  }
 }
 
-EgressDigest RunSwitchWorkload(bool adopt) {
+EgressDigest RunSwitchWorkload() {
   LearningSwitch service;
   FpgaTarget target(service);
-  MaybeAdopt(target.sim(), "switch", adopt);
+  ExpectIdentitySchedule(target.sim(), "switch");
   const MacAddress a = MacAddress::FromU48(0x02'00'00'00'00'0a);
   const MacAddress b = MacAddress::FromU48(0x02'00'00'00'00'0b);
   for (usize i = 0; i < 6; ++i) {
@@ -490,17 +443,17 @@ EgressDigest RunSwitchWorkload(bool adopt) {
 }
 
 TEST(StaticSchedule, SwitchBitExactUnderAdoptedSchedule) {
-  const EgressDigest scheduled = RunSwitchWorkload(true);
-  const EgressDigest registration = RunSwitchWorkload(false);
-  ASSERT_GT(scheduled.frames, 0u);
-  EXPECT_EQ(scheduled, registration);
+  const EgressDigest run = RunSwitchWorkload();
+  const EgressDigest rerun = RunSwitchWorkload();
+  ASSERT_GT(run.frames, 0u);
+  EXPECT_EQ(run, rerun);
 }
 
-EgressDigest RunNatWorkload(bool adopt) {
+EgressDigest RunNatWorkload() {
   NatConfig config;
   NatService service(config);
   FpgaTarget target(service);
-  MaybeAdopt(target.sim(), "nat", adopt);
+  ExpectIdentitySchedule(target.sim(), "nat");
   const MacAddress host_mac = MacAddress::FromU48(0x02'00'00'00'11'10);
   for (usize i = 0; i < 12; ++i) {
     Packet frame = MakeUdpPacket(
@@ -518,18 +471,18 @@ EgressDigest RunNatWorkload(bool adopt) {
 }
 
 TEST(StaticSchedule, NatBitExactUnderAdoptedSchedule) {
-  const EgressDigest scheduled = RunNatWorkload(true);
-  const EgressDigest registration = RunNatWorkload(false);
-  ASSERT_GT(scheduled.frames, 0u);
-  EXPECT_EQ(scheduled, registration);
+  const EgressDigest run = RunNatWorkload();
+  const EgressDigest rerun = RunNatWorkload();
+  ASSERT_GT(run.frames, 0u);
+  EXPECT_EQ(run, rerun);
 }
 
-EgressDigest RunMemcachedWorkload(bool adopt) {
+EgressDigest RunMemcachedWorkload() {
   MemcachedConfig config;
   config.cores = 4;
   MemcachedService service(config);
   FpgaTarget target(service);
-  MaybeAdopt(target.sim(), "memcached", adopt);
+  ExpectIdentitySchedule(target.sim(), "memcached");
   MemaslapConfig workload;
   workload.server_mac = config.mac;
   workload.server_ip = config.ip;
@@ -550,10 +503,10 @@ EgressDigest RunMemcachedWorkload(bool adopt) {
 }
 
 TEST(StaticSchedule, MemcachedBitExactUnderAdoptedSchedule) {
-  const EgressDigest scheduled = RunMemcachedWorkload(true);
-  const EgressDigest registration = RunMemcachedWorkload(false);
-  ASSERT_GT(scheduled.frames, 0u);
-  EXPECT_EQ(scheduled, registration);
+  const EgressDigest run = RunMemcachedWorkload();
+  const EgressDigest rerun = RunMemcachedWorkload();
+  ASSERT_GT(run.frames, 0u);
+  EXPECT_EQ(run, rerun);
 }
 
 // --- Pre-flight elaboration hook ----------------------------------------------

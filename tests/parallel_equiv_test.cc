@@ -90,7 +90,7 @@ void ExpectIdentical(const TopoDigest& serial, const TopoDigest& parallel, usize
   EXPECT_EQ(parallel.epochs, serial.epochs);
 }
 
-void CaptureHosts(ShardedTopology& topo, std::vector<HostLog>& logs, TopoDigest& d) {
+void CaptureHosts(TopologyBuilder& topo, std::vector<HostLog>& logs, TopoDigest& d) {
   for (usize i = 0; i < topo.host_count(); ++i) {
     d.host_digests.push_back(logs[i].digest);
     d.host_received.push_back(topo.host(i).received());
@@ -113,7 +113,8 @@ std::vector<HostSpec> FourHosts() {
 TopoDigest RunShardedSwitch(usize threads) {
   LearningSwitch service;
   const std::vector<HostSpec> specs = FourHosts();
-  ShardedTopology topo(service, specs);
+  TopologyBuilder topo;
+  topo.AddStar(service, specs);
 
   std::vector<HostLog> logs(specs.size());
   for (usize i = 0; i < specs.size(); ++i) {
@@ -167,21 +168,22 @@ TEST(ParallelEquivalence, ShardedSwitchBitExactAcrossThreadCounts) {
   }
 }
 
-// The sharded build of the star is the same network as StarTopology: same
-// links, same latencies, same service. Frame counts must agree.
+// The per-element build of the star is the same network as the single-shard
+// build: same links, same latencies, same service. Frame counts must agree.
 TEST(ParallelEquivalence, ShardedStarMatchesUnshardedCounts) {
   const std::vector<HostSpec> specs = FourHosts();
 
   std::vector<u64> unsharded_received;
   {
     LearningSwitch service;
-    StarTopology topo(service, specs);
+    TopologyBuilder topo(TopologyBuilder::Placement::kSingle);
+    topo.AddStar(service, specs);
     for (usize i = 0; i < specs.size(); ++i) {
       topo.host(i).SetApp([](SimHost&, Packet) {});
     }
     for (usize i = 0; i < specs.size(); ++i) {
       const Picoseconds at = static_cast<Picoseconds>(i + 1) * 10 * kPicosPerMicro;
-      topo.scheduler().At(at, [&topo, i] {
+      topo.host(i).scheduler().At(at, [&topo, i] {
         topo.host(i).Send(MakeEthernetFrame(MacAddress::Broadcast(), topo.host(i).mac(),
                                             EtherType::kIpv4,
                                             std::vector<u8>{static_cast<u8>(i)}));
@@ -194,7 +196,8 @@ TEST(ParallelEquivalence, ShardedStarMatchesUnshardedCounts) {
   }
 
   LearningSwitch service;
-  ShardedTopology topo(service, specs);
+  TopologyBuilder topo;
+  topo.AddStar(service, specs);
   for (usize i = 0; i < specs.size(); ++i) {
     topo.host(i).SetApp([](SimHost&, Packet) {});
   }
@@ -224,7 +227,8 @@ TopoDigest RunShardedNat(usize threads, bool with_faults) {
   const std::vector<HostSpec> specs = {
       {"ext", MacAddress::FromU48(0x02ffffffff01), Ipv4Address(8, 8, 8, 8)},
       {"int", MacAddress::FromU48(0x020000001110), Ipv4Address(192, 168, 1, 10)}};
-  ShardedTopology topo(service, specs);
+  TopologyBuilder topo;
+  topo.AddStar(service, specs);
 
   FaultRegistry registry(7);
   if (with_faults) {
@@ -325,7 +329,8 @@ TopoDigest RunShardedMemcachedCluster(usize threads) {
                      MacAddress::FromU48(0x02'00'00'00'c1'00ULL + i),
                      Ipv4Address(10, 0, 0, static_cast<u8>(50 + i))});
   }
-  ShardedTopology topo(service_ptrs, specs);
+  TopologyBuilder topo;
+  topo.AddCluster(service_ptrs, specs);
 
   std::vector<HostLog> logs(kNodes);
   for (usize i = 0; i < kNodes; ++i) {

@@ -126,7 +126,8 @@ std::vector<HostSpec> TwoHosts() {
 
 TEST(SimTarget, SwitchFloodsThenUnicasts) {
   LearningSwitch service;
-  StarTopology topo(service, TwoHosts());
+  TopologyBuilder topo(TopologyBuilder::Placement::kSingle);
+  topo.AddStar(service, TwoHosts());
 
   usize h1_received = 0;
   topo.host(1).SetApp([&](SimHost&, Packet) { ++h1_received; });
@@ -151,7 +152,8 @@ TEST(SimTarget, SwitchFloodsThenUnicasts) {
 TEST(SimTarget, IcmpEchoServiceAnswersInSimulator) {
   IcmpEchoConfig config;
   IcmpEchoService service(config);
-  StarTopology topo(service, TwoHosts());
+  TopologyBuilder topo(TopologyBuilder::Placement::kSingle);
+  topo.AddStar(service, TwoHosts());
 
   bool got_reply = false;
   topo.host(0).SetApp([&](SimHost&, Packet frame) {
@@ -175,7 +177,8 @@ TEST(SimTarget, NatRunsInSimulatorToo) {
   std::vector<HostSpec> hosts = {
       {"ext", MacAddress::FromU48(0x02ffffffff01), Ipv4Address(8, 8, 8, 8)},
       {"int", MacAddress::FromU48(0x020000001110), Ipv4Address(192, 168, 1, 10)}};
-  StarTopology topo(service, hosts);
+  TopologyBuilder topo(TopologyBuilder::Placement::kSingle);
+  topo.AddStar(service, hosts);
 
   bool external_saw_translated = false;
   topo.host(0).SetApp([&](SimHost&, Packet frame) {
@@ -576,7 +579,8 @@ std::vector<HostSpec> HubSpecs(usize n) {
 }
 
 TEST(HubTopologyTest, LearningSwitchFloodsUnknownThenForwardsLearned) {
-  HubTopology topo(HubSpecs(3));
+  TopologyBuilder topo;
+  topo.AddHubStar(HubSpecs(3));
   std::vector<u64> got(3, 0);
   for (usize i = 0; i < 3; ++i) {
     topo.host(i).SetApp([&got, i](SimHost&, Packet) { ++got[i]; });
@@ -601,7 +605,8 @@ TEST(HubTopologyTest, LearningSwitchFloodsUnknownThenForwardsLearned) {
 }
 
 TEST(HubTopologyTest, CountedBlocksComposeAcrossOverlappingWindows) {
-  HubTopology topo(HubSpecs(2));
+  TopologyBuilder topo;
+  topo.AddHubStar(HubSpecs(2));
   HubNode& hub = topo.hub();
   // Two overlapping partition windows cover the same pair: connectivity
   // returns only after BOTH close.
@@ -616,7 +621,8 @@ TEST(HubTopologyTest, CountedBlocksComposeAcrossOverlappingWindows) {
 }
 
 TEST(HubTopologyTest, PartitionDropsAreCounted) {
-  HubTopology topo(HubSpecs(2));
+  TopologyBuilder topo;
+  topo.AddHubStar(HubSpecs(2));
   u64 got1 = 0;
   topo.host(1).SetApp([&](SimHost&, Packet) { ++got1; });
   // Block h0 -> h1 on the hub's own scheduler (shard safety contract).
@@ -629,7 +635,8 @@ TEST(HubTopologyTest, PartitionDropsAreCounted) {
 }
 
 TEST(HubTopologyTest, FindHostByName) {
-  HubTopology topo(HubSpecs(3));
+  TopologyBuilder topo;
+  topo.AddHubStar(HubSpecs(3));
   EXPECT_EQ(topo.FindHost("h0"), 0u);
   EXPECT_EQ(topo.FindHost("h2"), 2u);
   EXPECT_EQ(topo.FindHost("nope"), topo.host_count());
