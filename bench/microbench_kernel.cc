@@ -27,7 +27,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -47,6 +46,7 @@
 #include "src/netfpga/axis.h"
 #include "src/services/learning_switch.h"
 #include "src/core/targets.h"
+#include "src/soak/workloads.h"
 
 namespace emu {
 namespace {
@@ -153,68 +153,9 @@ BENCHMARK(BM_SwitchForwardOneFrame);
 
 // --- Quiescence-kernel throughput mode (--throughput) -----------------------------
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-struct ThroughputResult {
-  double wall_seconds = 0;
-  double cycles_per_sec = 0;
-  u64 edges_run = 0;
-  u64 cycles_fast_forwarded = 0;
-  u64 egress_count = 0;
-  u64 egress_digest = 0;
-};
-
-// Scheduler flavor for one workload run. kExact is the reference semantics
-// (per-edge stepping, every parked predicate evaluated every edge); kFast is
-// the default fast path (quiescence fast-forward plus routed wakes, which
-// the stock pipeline's IO declarations switch on).
-enum class RunMode { kExact, kFast };
-
-// The soak shape: frames through the learning switch every `frame_gap`
-// cycles. A large gap is the idle-heavy pattern chaos soaks spend their
-// cycles in; a small gap (--saturated) keeps the pipeline busy so
-// fast-forward never fires and the per-edge cost dominates.
-ThroughputResult RunSoakWorkload(RunMode mode, u64 total_cycles, u64 frame_gap,
-                                 ProfilingMode profiling = ProfilingMode::kOff) {
-  LearningSwitch service;
-  FpgaTarget target(service);
-  if (mode == RunMode::kExact) {
-    target.sim().SetFastPath(false);
-  }
-  target.sim().SetProfilingMode(profiling);
-  const MacAddress a = MacAddress::FromU48(0x020000000001);
-  const MacAddress b = MacAddress::FromU48(0x020000000002);
-  target.Inject(0, MakeEthernetFrame(MacAddress::Broadcast(), a, EtherType::kIpv4, {}));
-  target.Inject(1, MakeEthernetFrame(MacAddress::Broadcast(), b, EtherType::kIpv4, {}));
-  target.Run(50'000);
-  target.TakeEgress();
-
-  const auto start = std::chrono::steady_clock::now();
-  for (u64 cycle = 0; cycle < total_cycles; cycle += frame_gap) {
-    target.Inject(0, MakeEthernetFrame(b, a, EtherType::kIpv4, {}));
-    target.Run(std::min(frame_gap, total_cycles - cycle));
-  }
-  const auto stop = std::chrono::steady_clock::now();
-
-  ThroughputResult result;
-  result.wall_seconds = std::chrono::duration<double>(stop - start).count();
-  result.cycles_per_sec =
-      result.wall_seconds > 0 ? static_cast<double>(total_cycles) / result.wall_seconds : 0;
-  const SimProfile profile = target.sim().ProfileReport();
-  result.edges_run = profile.edges_run;
-  result.cycles_fast_forwarded = profile.cycles_fast_forwarded;
-  u64 digest = kFnvOffset;
-  for (const EgressFrame& frame : target.TakeEgress()) {
-    digest = (digest ^ frame.port) * kFnvPrime;
-    for (u8 byte : frame.frame.bytes()) {
-      digest = (digest ^ byte) * kFnvPrime;
-    }
-    ++result.egress_count;
-  }
-  result.egress_digest = digest;
-  return result;
-}
+// One run of the soak shape (src/soak/workloads.h), shared with the kernel
+// oracle's pinned edge split.
+using ThroughputResult = soak::SwitchSoakResult;
 
 // One mode's result object: `{"cycles_per_sec": ..., "wall_seconds": ...,
 // "edges_run": ...[, "cycles_fast_forwarded": ...]}`. Doubles go through
@@ -296,8 +237,9 @@ int ThroughputMain(u64 total_cycles, u64 frame_gap, bool saturated, const std::s
   std::vector<ThroughputResult> fast_runs;
   std::vector<double> speedups;
   for (int pair = 0; pair < kGatePairs; ++pair) {
-    const ThroughputResult exact = RunSoakWorkload(RunMode::kExact, total_cycles, frame_gap);
-    const ThroughputResult fast = RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap);
+    const ThroughputResult exact =
+        soak::RunSwitchSoak(total_cycles, frame_gap, /*fast_path=*/false);
+    const ThroughputResult fast = soak::RunSwitchSoak(total_cycles, frame_gap);
     if (!DigestsMatch("fast path", fast, exact)) {
       return 1;
     }
@@ -417,9 +359,9 @@ int ProfileOverheadMain(u64 total_cycles, u64 frame_gap, double tolerance_pct,
   std::vector<double> overheads;
   for (int pair = 0; pair < kGatePairs; ++pair) {
     const ThroughputResult o =
-        RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap, ProfilingMode::kOff);
+        soak::RunSwitchSoak(total_cycles, frame_gap, true, ProfilingMode::kOff);
     const ThroughputResult s =
-        RunSoakWorkload(RunMode::kFast, total_cycles, frame_gap, ProfilingMode::kSampled);
+        soak::RunSwitchSoak(total_cycles, frame_gap, true, ProfilingMode::kSampled);
     if (!DigestsMatch("sampled profiling run", s, o)) {
       return 1;
     }

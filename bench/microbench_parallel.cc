@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "src/common/fnv.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fault_registry.h"
 #include "src/net/ipv4.h"
@@ -41,20 +42,8 @@
 namespace emu {
 namespace {
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-void FoldU64(u64& h, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xff)) * kFnvPrime;
-  }
-}
-
-void FoldFrame(u64& h, Picoseconds at, const Packet& frame) {
-  FoldU64(h, static_cast<u64>(at));
-  for (u8 b : frame.bytes()) {
-    h = (h ^ b) * kFnvPrime;
-  }
+u64 FoldFrame(u64 h, Picoseconds at, const Packet& frame) {
+  return Fnv1aBytes(Fnv1aU64(h, static_cast<u64>(at)), frame.bytes());
 }
 
 struct ClusterResult {
@@ -97,7 +86,7 @@ ClusterResult RunCluster(usize nodes, usize threads, usize requests_per_host) {
   std::vector<u64> replies(nodes, 0);
   for (usize i = 0; i < nodes; ++i) {
     topo.host(i).SetApp([&digests, &replies, i](SimHost& h, Packet frame) {
-      FoldFrame(digests[i], h.scheduler().now(), frame);
+      digests[i] = FoldFrame(digests[i], h.scheduler().now(), frame);
       ++replies[i];
     });
   }
@@ -132,11 +121,11 @@ ClusterResult RunCluster(usize nodes, usize threads, usize requests_per_host) {
   result.wall_seconds = std::chrono::duration<double>(stop - start).count();
   result.epochs = topo.runner().epochs();
   for (usize i = 0; i < nodes; ++i) {
-    FoldU64(result.digest, digests[i]);
-    FoldU64(result.digest, replies[i]);
+    result.digest = Fnv1aU64(result.digest, digests[i]);
+    result.digest = Fnv1aU64(result.digest, replies[i]);
     result.replies += replies[i];
   }
-  FoldU64(result.digest, result.events);
+  result.digest = Fnv1aU64(result.digest, result.events);
   return result;
 }
 
@@ -314,7 +303,7 @@ SoakDigest RunNatSoak(u64 seed, usize threads) {
   SoakDigest digest;
   constexpr usize kPings = 16;
   topo.host(0).SetApp([&digest, &topo, &config](SimHost& h, Packet frame) {
-    FoldFrame(digest.arrivals, h.scheduler().now(), frame);
+    digest.arrivals = FoldFrame(digest.arrivals, h.scheduler().now(), frame);
     Ipv4View ip(frame);
     if (!ip.Valid() || !ip.ProtocolIs(IpProtocol::kUdp)) {
       return;
@@ -327,7 +316,7 @@ SoakDigest RunNatSoak(u64 seed, usize threads) {
   });
   auto pings_sent = std::make_shared<usize>(1);
   topo.host(1).SetApp([&digest, &topo, &config, &specs, pings_sent](SimHost& h, Packet frame) {
-    FoldFrame(digest.arrivals, h.scheduler().now(), frame);
+    digest.arrivals = FoldFrame(digest.arrivals, h.scheduler().now(), frame);
     if (*pings_sent >= kPings) {
       return;
     }

@@ -55,6 +55,7 @@
 #include "src/sim/loadgen.h"
 #include "src/sim/memaslap.h"
 #include "src/soak/soak.h"
+#include "src/soak/workloads.h"
 
 #ifdef EMU_ANALYSIS
 #include "src/analysis/hazard_monitor.h"
@@ -217,16 +218,6 @@ std::string RandomPlanText(u64 seed, u64 cycles) {
       static_cast<unsigned long long>(200 + rng.NextBelow(1800)),  // stall len
       static_cast<unsigned long long>(cycles / 2));
   return buffer;
-}
-
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-u64 DigestBytes(u64 h, const u8* data, usize size) {
-  for (usize i = 0; i < size; ++i) {
-    h = (h ^ data[i]) * kFnvPrime;
-  }
-  return h;
 }
 
 struct SoakOutcome {
@@ -395,12 +386,7 @@ SoakOutcome RunSoak(SoakCase c, const SoakOptions& opt) {
       in == out.injected &&
       in == egress_count + out.pipeline_drops + out.service_dropped;
 
-  u64 digest = kFnvOffset;
-  for (const EgressFrame& frame : target.TakeEgress()) {
-    digest = (digest ^ frame.port) * kFnvPrime;
-    digest = DigestBytes(digest, frame.frame.bytes().data(), frame.frame.size());
-  }
-  out.egress_digest = digest;
+  out.egress_digest = soak::EgressDigest(target.TakeEgress());
 
   usize probe_ok = 0;
   constexpr usize kProbes = 10;

@@ -3,23 +3,13 @@
 #include <cassert>
 #include <utility>
 
+#include "src/common/fnv.h"
 #include "src/core/metrics.h"
 #include "src/net/ethernet.h"
 #include "src/obs/trace_hooks.h"
 
 namespace emu {
 namespace {
-
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-u64 Fnv1aU64(u64 h, u64 value) {
-  for (usize i = 0; i < 8; ++i) {
-    h ^= (value >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // FPGA stage run budget per delivery: generous against any in-repo service's
 // module latency, small against the simulated network timeline. A frame the

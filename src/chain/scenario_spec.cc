@@ -1,75 +1,23 @@
 #include "src/chain/scenario_spec.h"
 
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
+
+#include "src/common/spec_lexer.h"
 
 namespace emu {
 namespace {
 
-std::vector<std::string> Tokenize(const std::string& entry) {
-  std::vector<std::string> tokens;
-  std::istringstream in(entry);
-  std::string token;
-  while (in >> token) {
-    if (token[0] == '#') {
-      break;  // comment: rest of the entry is ignored
-    }
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-bool ParseU64(const std::string& text, u64& out) {
-  char* end = nullptr;
-  out = std::strtoull(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !text.empty();
-}
-
-// Picosecond time with an optional ns/us/ms/s suffix, as in fault plans.
-bool ParseTimePs(const std::string& text, u64& out) {
-  char* end = nullptr;
-  const u64 value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || end == text.c_str()) {
-    return false;
-  }
-  const std::string suffix(end);
-  u64 scale = 1;
-  if (suffix == "ns") {
-    scale = static_cast<u64>(kPicosPerNano);
-  } else if (suffix == "us") {
-    scale = static_cast<u64>(kPicosPerMicro);
-  } else if (suffix == "ms") {
-    scale = static_cast<u64>(kPicosPerMilli);
-  } else if (suffix == "s") {
-    scale = static_cast<u64>(kPicosPerSecond);
-  } else if (!suffix.empty()) {
-    return false;
-  }
-  out = value * scale;
-  return true;
-}
+using lex::KeyValue;
+using lex::ParseTimePs;
+using lex::ParseU64;
+using lex::Tokenize;
 
 // Bit rate with an optional K/M/G suffix ("10G" = 10^10 bits/s).
 bool ParseRate(const std::string& text, u64& out) {
-  char* end = nullptr;
-  const u64 value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || end == text.c_str()) {
-    return false;
-  }
-  const std::string suffix(end);
-  u64 scale = 1;
-  if (suffix == "K" || suffix == "k") {
-    scale = 1'000ULL;
-  } else if (suffix == "M") {
-    scale = 1'000'000ULL;
-  } else if (suffix == "G") {
-    scale = 1'000'000'000ULL;
-  } else if (!suffix.empty()) {
-    return false;
-  }
-  out = value * scale;
-  return out > 0;
+  const bool ok = lex::ParseScaled(
+      text, {{"K", 1'000}, {"k", 1'000}, {"M", 1'000'000}, {"G", 1'000'000'000}}, out);
+  return ok && out > 0;
 }
 
 bool ParseMac(const std::string& text, MacAddress& out) {
@@ -114,17 +62,6 @@ bool ParseIp(const std::string& text, Ipv4Address& out) {
   parts[3] = static_cast<u32>(acc);
   out = Ipv4Address(static_cast<u8>(parts[0]), static_cast<u8>(parts[1]),
                     static_cast<u8>(parts[2]), static_cast<u8>(parts[3]));
-  return true;
-}
-
-// "key=value" accessor over an operand token, as in the fault-plan parser.
-bool KeyValue(const std::string& token, const char* key, std::string& value) {
-  const usize key_len = std::strlen(key);
-  if (token.size() <= key_len + 1 || token.compare(0, key_len, key) != 0 ||
-      token[key_len] != '=') {
-    return false;
-  }
-  value = token.substr(key_len + 1);
   return true;
 }
 

@@ -2,11 +2,17 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
+
+#include "src/common/spec_lexer.h"
 
 namespace emu {
 namespace {
+
+using lex::KeyValue;
+using lex::ParseTimePs;
+using lex::ParseU64;
+using lex::Tokenize;
 
 constexpr const char* kFaultClassNames[kFaultClassCount] = {
     "LINK_DROP",   "LINK_CORRUPT", "LINK_DUPLICATE",   "LINK_REORDER",  "LINK_DELAY",
@@ -14,67 +20,10 @@ constexpr const char* kFaultClassNames[kFaultClassCount] = {
     "HOST_RESTART", "PARTITION",
 };
 
-std::vector<std::string> Tokenize(const std::string& entry) {
-  std::vector<std::string> tokens;
-  std::istringstream in(entry);
-  std::string token;
-  while (in >> token) {
-    if (token[0] == '#') {
-      break;  // comment: rest of the entry is ignored
-    }
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-bool ParseU64(const std::string& text, u64& out) {
-  char* end = nullptr;
-  out = std::strtoull(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !text.empty();
-}
-
 bool ParseP(const std::string& text, double& out) {
   char* end = nullptr;
   out = std::strtod(text.c_str(), &end);
   return end != nullptr && *end == '\0' && !text.empty() && out >= 0.0 && out <= 1.0;
-}
-
-// Picosecond time with an optional ns/us/ms/s suffix ("500us", "2ms", plain
-// integers are already ps). Topology events live on the network-simulator
-// timeline, where raw picosecond literals are unreadably long.
-bool ParseTimePs(const std::string& text, u64& out) {
-  char* end = nullptr;
-  const u64 value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || end == text.c_str()) {
-    return false;
-  }
-  const std::string suffix(end);
-  u64 scale = 1;
-  if (suffix == "ns") {
-    scale = static_cast<u64>(kPicosPerNano);
-  } else if (suffix == "us") {
-    scale = static_cast<u64>(kPicosPerMicro);
-  } else if (suffix == "ms") {
-    scale = static_cast<u64>(kPicosPerMilli);
-  } else if (suffix == "s") {
-    scale = static_cast<u64>(kPicosPerSecond);
-  } else if (!suffix.empty()) {
-    return false;
-  }
-  out = value * scale;
-  return true;
-}
-
-// "key=value" accessor over an operand token; false when `token` does not
-// start with `key` followed by '='.
-bool KeyValue(const std::string& token, const char* key, std::string& value) {
-  const usize key_len = std::strlen(key);
-  if (token.size() <= key_len + 1 || token.compare(0, key_len, key) != 0 ||
-      token[key_len] != '=') {
-    return false;
-  }
-  value = token.substr(key_len + 1);
-  return true;
 }
 
 // "{h0,h1}" (braces optional) into its comma-separated member names.

@@ -3,30 +3,17 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/common/fnv.h"
 #include "src/core/metrics.h"
 #include "src/obs/trace_hooks.h"
 
 namespace emu {
 namespace {
 
-// FNV-1a, used both to derive per-point RNG seeds and for log digests.
-// Deliberately not std::hash: the stream a point draws from must be stable
-// across builds and standard libraries for replays to be portable.
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-u64 Fnv1a(u64 h, const void* data, usize size) {
-  const auto* bytes = static_cast<const u8*>(data);
-  for (usize i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-u64 HashName(const std::string& name) {
-  return Fnv1a(kFnvOffset, name.data(), name.size());
-}
+// Per-point RNG seeds and log digests are FNV-1a (src/common/fnv.h), not
+// std::hash: the stream a point draws from must be stable across builds and
+// standard libraries for replays to be portable.
+u64 HashName(const std::string& name) { return Fnv1aBytes(kFnvOffset, name); }
 
 }  // namespace
 
@@ -242,11 +229,10 @@ std::vector<FaultEvent> FaultRegistry::CanonicalLog() const {
 u64 FaultRegistry::LogDigest() const {
   u64 h = kFnvOffset;
   for (const FaultEvent& event : CanonicalLog()) {
-    h = Fnv1a(h, &event.tick, sizeof(event.tick));
-    h = Fnv1a(h, event.site.data(), event.site.size());
-    const u8 cls = static_cast<u8>(event.cls);
-    h = Fnv1a(h, &cls, sizeof(cls));
-    h = Fnv1a(h, &event.detail, sizeof(event.detail));
+    h = Fnv1aU64(h, event.tick);
+    h = Fnv1aBytes(h, event.site);
+    h = Fnv1aByte(h, static_cast<u8>(event.cls));
+    h = Fnv1aU64(h, event.detail);
   }
   return h;
 }

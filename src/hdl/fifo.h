@@ -169,7 +169,7 @@ class SyncFifo : public Clocked {
       // A pop leaves Commit() nothing to move, but it still enqueues one:
       // the dirty queue is the quiescence scan's "an edge is pending commit"
       // test, so announcing pops keeps the run loop's edge, jump and
-      // fast-forward decisions what they are pinned to (busy_path_test).
+      // fast-forward decisions what they are pinned to (MicrobenchEdgeSplitIsPinned).
       sim_.AnnounceDirty(this);
     }
     if (obs::TraceBuffer* tb = obs::ActiveBuffer()) {

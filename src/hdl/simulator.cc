@@ -1,6 +1,7 @@
 #include "src/hdl/simulator.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -219,6 +220,34 @@ inline u64 ElapsedNs(std::chrono::steady_clock::time_point start,
       std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count());
 }
 
+// The latency one steady_clock read adds to an interval: the median span of
+// back-to-back read pairs. Measured once per process, on the first call.
+// Cold and out of line, like TimedNs: profiling is off on the hot path.
+[[gnu::cold]] u64 ClockReadNs() {
+  static const u64 cost = [] {
+    constexpr usize kPairs = 255;
+    std::array<u64, kPairs> spans{};
+    for (u64& span : spans) {
+      const auto start = std::chrono::steady_clock::now();
+      span = ElapsedNs(start, std::chrono::steady_clock::now());
+    }
+    std::nth_element(spans.begin(), spans.begin() + kPairs / 2, spans.end());
+    return spans[kPairs / 2];
+  }();
+  return cost;
+}
+
+// Wall time inside an interval bounded by two steady_clock reads. The span
+// between the reads' sample points also holds one read's own latency (the
+// tail of the first call plus the head of the second), which every timed
+// interval would otherwise bill.
+[[gnu::cold, gnu::noinline]] u64 TimedNs(std::chrono::steady_clock::time_point start,
+                                         std::chrono::steady_clock::time_point stop) {
+  const u64 ns = ElapsedNs(start, stop);
+  const u64 read = ClockReadNs();
+  return ns > read ? ns - read : 0;
+}
+
 }  // namespace
 
 template <bool kTimed>
@@ -255,7 +284,7 @@ usize Simulator::SweepProcesses(bool lazy) {
     if constexpr (kTimed) {
       const auto start = std::chrono::steady_clock::now();
       process.Resume();
-      stats.wall_ns += ElapsedNs(start, std::chrono::steady_clock::now());
+      stats.wall_ns += TimedNs(start, std::chrono::steady_clock::now());
     } else {
       process.Resume();
     }
@@ -276,7 +305,7 @@ usize Simulator::SampledSweepAndCommit(bool lazy) {
   // Phases are timed on every stride-th edge and per-process resumes half a
   // stride apart from them, so the sampled edges alternate between the two:
   // a resume clock pair in the phase window would bill its own cost to
-  // resume_dispatch. Under stride 1 (kFull) both land on every edge.
+  // resume_dispatch. Under stride 1 both land on every edge.
   bool time_phases = true;
   bool time_resumes = true;
   if (sample_stride_ > 1) {
@@ -297,9 +326,9 @@ usize Simulator::SampledSweepAndCommit(bool lazy) {
   CommitEdge();
   const auto t2 = std::chrono::steady_clock::now();
   ++phase_resume_.timed_calls;
-  phase_resume_.wall_ns += ElapsedNs(t0, t1);
+  phase_resume_.wall_ns += TimedNs(t0, t1);
   ++phase_commit_.timed_calls;
-  phase_commit_.wall_ns += ElapsedNs(t1, t2);
+  phase_commit_.wall_ns += TimedNs(t1, t2);
   ++edges_timed_;
   return pinned;
 }
@@ -311,7 +340,10 @@ void Simulator::SetProfilingMode(ProfilingMode mode, u64 sample_stride) {
   phase_resume_.calls += unbilled;
   phase_commit_.calls += unbilled;
   profiling_mode_ = mode;
-  sample_stride_ = mode == ProfilingMode::kFull ? 1 : (sample_stride == 0 ? 1 : sample_stride);
+  sample_stride_ = sample_stride == 0 ? 1 : sample_stride;
+  if (mode != ProfilingMode::kOff) {
+    ClockReadNs();  // calibrate here, not on the first timed edge
+  }
   sample_phases_next_ = false;
   sample_reload_ = mode == ProfilingMode::kOff ? kNeverSample
                    : sample_stride_ == 1      ? 1
@@ -517,7 +549,7 @@ Cycle Simulator::ProfiledQuiescentWindow(Cycle budget) {
   const auto t0 = std::chrono::steady_clock::now();
   const Cycle window = QuiescentWindow(budget);
   ++phase_scan_.timed_calls;
-  phase_scan_.wall_ns += ElapsedNs(t0, std::chrono::steady_clock::now());
+  phase_scan_.wall_ns += TimedNs(t0, std::chrono::steady_clock::now());
   return window;
 }
 
@@ -554,7 +586,7 @@ void Simulator::FastForward(Cycle cycles) {
   if (timed) [[unlikely]] {
     ++phase_fast_forward_.calls;
     ++phase_fast_forward_.timed_calls;
-    phase_fast_forward_.wall_ns += ElapsedNs(t0, std::chrono::steady_clock::now());
+    phase_fast_forward_.wall_ns += TimedNs(t0, std::chrono::steady_clock::now());
   }
 }
 

@@ -78,10 +78,10 @@
 // re-evaluation. With wake routing active a mutation instead marks only the
 // element's declared watchers stale — extra marks cost a predicate poll,
 // never a missed resume, because watcher sets come from the same IO
-// declarations the equivalence suites validate. With the fast path off (or
-// a monitor attached) predicates are evaluated on every edge — the
-// reference semantics the equivalence suites (tests/kernel_equiv_test.cc,
-// tests/busy_path_test.cc) check the fast path against.
+// declarations the kernel oracle validates. With the fast path off (or a
+// monitor attached) predicates are evaluated on every edge — the reference
+// semantics the kernel oracle (tests/kernel_oracle.h, run by
+// tests/kernel_equiv_test.cc) checks the fast path against.
 #ifndef SRC_HDL_SIMULATOR_H_
 #define SRC_HDL_SIMULATOR_H_
 
@@ -147,10 +147,10 @@ struct ProcessProfile {
   u64 resumes = 0;       // coroutine resumptions (edges the body actually ran)
   u64 cycles_awake = 0;  // edges the scheduler did work for it (resume or poll)
   u64 polls = 0;         // parked-predicate evaluations
-  // Wall time inside resumes. Exact under ProfilingMode::kFull; under
-  // kSampled the resumes of one edge in sample_stride carry a clock pair, so
-  // this is a 1-in-stride sample of the true total (scale by sample_stride
-  // for an estimate). Those edges are not the ones the phase clocks time, so
+  // Wall time inside resumes. Under ProfilingMode::kSampled the resumes of
+  // one edge in sample_stride carry a clock pair, so this is a 1-in-stride
+  // sample of the true total (scale by sample_stride for an estimate; exact
+  // at stride 1). Those edges are not the ones the phase clocks time, so
   // the per-resume clock reads never inflate a phase estimate. Zero when
   // profiling is off.
   u64 wall_ns = 0;
@@ -159,14 +159,14 @@ struct ProcessProfile {
 // Wall-clock attribution granularity (see Simulator::SetProfilingMode).
 enum class ProfilingMode : u8 {
   kOff = 0,      // counts only, no clock reads (the default)
-  kSampled = 1,  // 1-in-stride edges timed: cheap enough to leave on in soaks
-  kFull = 2,     // every edge and every resume timed (two clock reads each)
+  kSampled = 1,  // 1-in-stride edges timed (stride 1: every edge and resume)
 };
 
 // Wall time attributed to one kernel phase while profiling was active.
 // `calls` counts every entry into the phase; `timed_calls` counts the subset
-// that carried a steady_clock pair (all of them under kFull, 1-in-stride
-// under kSampled), and `wall_ns` is the time inside those timed entries.
+// that carried a steady_clock pair (1-in-stride), and `wall_ns` is the time
+// inside those timed entries, less the calibrated cost of the clock read
+// each one bills (see Simulator::SetProfilingMode).
 struct PhaseProfile {
   u64 calls = 0;
   u64 timed_calls = 0;
@@ -187,7 +187,7 @@ struct SimProfile {
   // per-process wall numbers are only meaningful when `populated()`.
   bool profiling_enabled = false;
   ProfilingMode mode = ProfilingMode::kOff;
-  u64 sample_stride = 1;          // 1 under kFull; the 1-in-N stride under kSampled
+  u64 sample_stride = 1;          // the 1-in-N stride under kSampled
   u64 edges_run = 0;              // edges actually executed
   u64 cycles_fast_forwarded = 0;  // cycles skipped by quiescence jumps
   u64 jumps = 0;                  // number of fast-forward jumps
@@ -337,16 +337,18 @@ class Simulator {
 
   // --- Profiler ---
   // Resume/poll counts are always collected (they are a handful of
-  // increments per edge); wall-clock attribution is off by default because
-  // kFull adds two steady_clock reads per resume. kSampled times the phases
-  // on one edge in `sample_stride` and the per-process resumes on another,
-  // so the per-resume clock reads stay out of the phase estimates and the
-  // clock reads amortize to a few per stride edges — cheap enough to leave
-  // on for soak runs (bench/microbench_kernel --profile-overhead gates it
-  // ≤5%). The sampling schedule restarts here: resumes are timed on edge
+  // increments per edge); wall-clock attribution is off by default. kSampled
+  // times the phases on one edge in `sample_stride` and the per-process
+  // resumes on another, so the per-resume clock reads stay out of the phase
+  // estimates and the clock reads amortize to a few per stride edges —
+  // cheap enough to leave on for soak runs (bench/microbench_kernel
+  // --profile-overhead gates it ≤5%). Stride 1 times every edge and every
+  // resume. The sampling schedule restarts here: resumes are timed on edge
   // stride/2 and every stride edges after, phases on edge stride and every
   // stride edges after (stride 1: both on every edge), scans on every
-  // stride-th scan.
+  // stride-th scan. Every timed interval bills the latency of one clock
+  // read; the first call that turns profiling on in a process calibrates
+  // that cost once (a few microseconds) and every interval subtracts it.
   void SetProfilingMode(ProfilingMode mode, u64 sample_stride = kDefaultProfilingStride);
   ProfilingMode profiling_mode() const { return profiling_mode_; }
   SimProfile ProfileReport() const;

@@ -69,15 +69,7 @@ void AppendPhase(std::string& out, const char* name, const PhaseProfile& phase) 
 }
 
 const char* ModeName(ProfilingMode mode) {
-  switch (mode) {
-    case ProfilingMode::kOff:
-      return "off";
-    case ProfilingMode::kSampled:
-      return "sampled";
-    case ProfilingMode::kFull:
-      return "full";
-  }
-  return "off";
+  return mode == ProfilingMode::kSampled ? "sampled" : "off";
 }
 
 // Wall-clock Chrome trace timestamps are in microseconds; keep three

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/fnv.h"
 #include "src/core/metrics.h"
 #include "src/net/ethernet.h"
 #include "src/net/ipv4.h"
@@ -9,17 +10,6 @@
 
 namespace emu {
 namespace {
-
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-u64 Fnv1aU64(u64 h, u64 value) {
-  for (usize i = 0; i < sizeof(value); ++i) {
-    h ^= static_cast<u8>(value >> (8 * i));
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // Wire format (UDP payload, all multi-byte fields big-endian):
 //   [0]    type          (SwimMessageType)

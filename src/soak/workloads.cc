@@ -1,7 +1,13 @@
 #include "src/soak/workloads.h"
 
+#include <algorithm>
+#include <chrono>
+
 #include "src/chain/scenario_build.h"
 #include "src/chain/stage_factory.h"
+#include "src/common/fnv.h"
+#include "src/net/ethernet.h"
+#include "src/services/learning_switch.h"
 #include "src/sim/memaslap.h"
 
 namespace emu::soak {
@@ -72,11 +78,52 @@ std::vector<std::unique_ptr<SwimPeer>> StartSwimPeers(TopologyBuilder& topology,
 }
 
 u64 SwimDigest(const std::vector<std::unique_ptr<SwimPeer>>& peers) {
-  u64 digest = 14695981039346656037ull;  // FNV-1a
+  u64 digest = kFnvOffset;
   for (const auto& peer : peers) {
-    digest = (digest ^ peer->EventsDigest()) * 1099511628211ull;
+    digest = Fnv1aWord(digest, peer->EventsDigest());
   }
   return digest;
+}
+
+u64 EgressDigest(const std::vector<EgressFrame>& egress) {
+  u64 digest = kFnvOffset;
+  for (const EgressFrame& entry : egress) {
+    digest = Fnv1aBytes(Fnv1aByte(digest, entry.port), entry.frame.bytes());
+  }
+  return digest;
+}
+
+SwitchSoakResult RunSwitchSoak(u64 total_cycles, u64 frame_gap, bool fast_path,
+                               ProfilingMode profiling) {
+  LearningSwitch service;
+  FpgaTarget target(service);
+  target.sim().SetFastPath(fast_path);
+  target.sim().SetProfilingMode(profiling);
+  const MacAddress a = MacAddress::FromU48(0x020000000001);
+  const MacAddress b = MacAddress::FromU48(0x020000000002);
+  target.Inject(0, MakeEthernetFrame(MacAddress::Broadcast(), a, EtherType::kIpv4, {}));
+  target.Inject(1, MakeEthernetFrame(MacAddress::Broadcast(), b, EtherType::kIpv4, {}));
+  target.Run(50'000);
+  target.TakeEgress();
+
+  const auto start = std::chrono::steady_clock::now();
+  for (u64 cycle = 0; cycle < total_cycles; cycle += frame_gap) {
+    target.Inject(0, MakeEthernetFrame(b, a, EtherType::kIpv4, {}));
+    target.Run(std::min(frame_gap, total_cycles - cycle));
+  }
+  const auto stop = std::chrono::steady_clock::now();
+
+  SwitchSoakResult result;
+  result.wall_seconds = std::chrono::duration<double>(stop - start).count();
+  result.cycles_per_sec =
+      result.wall_seconds > 0 ? static_cast<double>(total_cycles) / result.wall_seconds : 0;
+  const SimProfile profile = target.sim().ProfileReport();
+  result.edges_run = profile.edges_run;
+  result.cycles_fast_forwarded = profile.cycles_fast_forwarded;
+  const std::vector<EgressFrame> egress = target.TakeEgress();
+  result.egress_count = egress.size();
+  result.egress_digest = EgressDigest(egress);
+  return result;
 }
 
 }  // namespace emu::soak

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/targets.h"
 #include "src/services/swim_service.h"
 
 namespace emu {
@@ -47,6 +48,26 @@ std::vector<std::unique_ptr<SwimPeer>> StartSwimPeers(TopologyBuilder& topology,
                                                       const SwimConfig& config, u64 seed);
 // The peers' membership-event digests folded in id order.
 u64 SwimDigest(const std::vector<std::unique_ptr<SwimPeer>>& peers);
+
+// FNV-1a over egress in order: each frame's port byte, then its bytes.
+u64 EgressDigest(const std::vector<EgressFrame>& egress);
+
+// The kernel soak shape: teach two MACs to the learning switch, then inject
+// one unicast frame every `frame_gap` cycles for `total_cycles` cycles. A
+// large gap is the idle-heavy pattern the chaos soaks spend their cycles in;
+// a small one (bench/microbench_kernel --saturated, gap 10) keeps the
+// pipeline busy so the per-edge cost dominates. `fast_path` false steps
+// every edge, the reference semantics.
+struct SwitchSoakResult {
+  double wall_seconds = 0;    // the frame loop only, not the MAC teaching
+  double cycles_per_sec = 0;  // total_cycles / wall_seconds
+  u64 edges_run = 0;          // whole run, teaching included
+  u64 cycles_fast_forwarded = 0;
+  u64 egress_count = 0;  // the frame loop's egress
+  u64 egress_digest = 0;
+};
+SwitchSoakResult RunSwitchSoak(u64 total_cycles, u64 frame_gap, bool fast_path = true,
+                               ProfilingMode profiling = ProfilingMode::kOff);
 
 }  // namespace soak
 }  // namespace emu

@@ -125,6 +125,22 @@ TEST(ScenarioSpecTest, DiagnosticsCarryTheLineNumberVerbatim) {
             "scenario spec line 3: unknown keyword 'frobnicate': frobnicate now");
 }
 
+// Link delays are unsigned and must fit 64 bits once scaled: the existing
+// "bad link_delay" diagnostic, not a negative or wrapped delay.
+TEST(ScenarioSpecTest, RejectsSignedAndOverflowingLinkDelays) {
+  for (const std::string value : {"-1ns", "+1ns", "20000000000s"}) {
+    const Expected<ScenarioSpec> spec =
+        ParseScenarioSpec("topology star hosts=2 link_delay=" + value);
+    ASSERT_FALSE(spec.ok()) << value;
+    EXPECT_EQ(spec.status().message(), "scenario spec line 1: bad link_delay '" + value +
+                                           "': topology star hosts=2 link_delay=" + value);
+  }
+  const Expected<ScenarioSpec> rate = ParseScenarioSpec("topology star link_rate=-1G");
+  ASSERT_FALSE(rate.ok());
+  EXPECT_EQ(rate.status().message(),
+            "scenario spec line 1: bad link_rate '-1G': topology star link_rate=-1G");
+}
+
 TEST(ScenarioSpecTest, RejectsAStageOnAnUnknownHost) {
   const Expected<ScenarioSpec> spec = ParseScenarioSpec(
       "topology hub hosts=2\n"
@@ -531,6 +547,9 @@ TEST(ChainDeterminismTest, DigestAndTraceAreBitExactAcrossThreadsAndReplay) {
 }
 
 TEST(ChainDeterminismTest, TraceDecomposesIntoPerStageLatencyRows) {
+#ifndef EMU_TRACE
+  GTEST_SKIP() << "built with EMU_TRACE=OFF: no spans to decompose";
+#endif
   const ChainRun run = RunFourStageChain(/*seed=*/11, /*threads=*/2);
   ASSERT_EQ(run.rows.size(), 4u);
   EXPECT_EQ(run.rows[0].stage, "filter");

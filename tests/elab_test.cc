@@ -15,7 +15,6 @@
 #include "src/analysis/elab/elab_graph.h"
 #include "src/analysis/elab/elaboration.h"
 #include "src/analysis/finding.h"
-#include "src/core/metrics.h"
 #include "src/core/targets.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fault_registry.h"
@@ -23,12 +22,8 @@
 #include "src/hdl/process.h"
 #include "src/hdl/signal.h"
 #include "src/hdl/simulator.h"
-#include "src/net/udp.h"
-#include "src/services/learning_switch.h"
-#include "src/services/memcached_service.h"
-#include "src/services/nat_service.h"
-#include "src/sim/memaslap.h"
 #include "src/sim/parallel_runner.h"
+#include "tests/kernel_oracle.h"
 
 namespace emu {
 namespace {
@@ -390,123 +385,39 @@ TEST(StaticSchedule, FailsOnCombLoop) {
 
 // --- Inferred schedule on real designs: registration order ---------------------
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-struct EgressDigest {
-  Cycle final_now = 0;
-  usize frames = 0;
-  u64 digest = kFnvOffset;
-
-  void Capture(FpgaTarget& target) {
-    final_now = target.sim().now();
-    for (const EgressFrame& entry : target.TakeEgress()) {
-      ++frames;
-      digest = (digest ^ entry.port) * kFnvPrime;
-      for (u8 byte : entry.frame.bytes()) {
-        digest = (digest ^ byte) * kFnvPrime;
-      }
+// The inferred order on the oracle's clean designs (tests/kernel_oracle.h)
+// must BE registration order (the minimal-lexicographic guarantee), and a
+// rerun of the design must reproduce the run bit for bit.
+void ExpectIdentityScheduleAndRerun(oracle::Design design) {
+  const char* name = oracle::DesignName(design);
+  const oracle::Setup identity = [name](FpgaTarget& target) {
+    const auto schedule = elab::ElabGraph::FromSimulator(target.sim(), name).StaticSchedule();
+    ASSERT_TRUE(schedule.ok) << schedule.error;
+    std::vector<usize> order(schedule.order.size());
+    for (usize i = 0; i < order.size(); ++i) {
+      order[i] = i;
     }
-  }
-
-  bool operator==(const EgressDigest&) const = default;
-};
-
-// The inferred order on these clean designs must BE registration order (the
-// minimal-lexicographic guarantee).
-void ExpectIdentitySchedule(Simulator& sim, const std::string& design) {
-  const auto schedule = elab::ElabGraph::FromSimulator(sim, design).StaticSchedule();
-  ASSERT_TRUE(schedule.ok) << schedule.error;
-  std::vector<usize> identity(schedule.order.size());
-  for (usize i = 0; i < identity.size(); ++i) {
-    identity[i] = i;
-  }
-  EXPECT_EQ(schedule.order, identity) << design << ": clean design should keep its order";
-}
-
-EgressDigest RunSwitchWorkload() {
-  LearningSwitch service;
-  FpgaTarget target(service);
-  ExpectIdentitySchedule(target.sim(), "switch");
-  const MacAddress a = MacAddress::FromU48(0x02'00'00'00'00'0a);
-  const MacAddress b = MacAddress::FromU48(0x02'00'00'00'00'0b);
-  for (usize i = 0; i < 6; ++i) {
-    target.Inject(i % 2 ? 2 : 0,
-                  MakeUdpPacket({i % 2 ? a : b, i % 2 ? b : a, Ipv4Address(10, 0, 0, 1),
-                                 Ipv4Address(10, 0, 0, 2), 4000, 9},
-                                std::vector<u8>{static_cast<u8>(i)}));
-    target.Run(30'000);
-  }
-  EgressDigest digest;
-  digest.Capture(target);
-  return digest;
+    EXPECT_EQ(schedule.order, order) << name << ": clean design should keep its order";
+  };
+  const oracle::RunDigest run =
+      oracle::RunDesign(design, oracle::Pacing::kIdle, oracle::Drive::kFast, identity);
+  const oracle::RunDigest rerun =
+      oracle::RunDesign(design, oracle::Pacing::kIdle, oracle::Drive::kFast);
+  ASSERT_GT(run.egress_count, 0u);
+  oracle::ExpectEquivalent(run, rerun);
+  EXPECT_EQ(run.profile.edges_run, rerun.profile.edges_run);
 }
 
 TEST(StaticSchedule, SwitchBitExactUnderAdoptedSchedule) {
-  const EgressDigest run = RunSwitchWorkload();
-  const EgressDigest rerun = RunSwitchWorkload();
-  ASSERT_GT(run.frames, 0u);
-  EXPECT_EQ(run, rerun);
-}
-
-EgressDigest RunNatWorkload() {
-  NatConfig config;
-  NatService service(config);
-  FpgaTarget target(service);
-  ExpectIdentitySchedule(target.sim(), "nat");
-  const MacAddress host_mac = MacAddress::FromU48(0x02'00'00'00'11'10);
-  for (usize i = 0; i < 12; ++i) {
-    Packet frame = MakeUdpPacket(
-        {config.internal_mac, host_mac, Ipv4Address(192, 168, 1, static_cast<u8>(2 + i % 4)),
-         Ipv4Address(8, 8, 8, 8), static_cast<u16>(5000 + i), 53},
-        std::vector<u8>{'q', static_cast<u8>(i)});
-    frame.set_src_port(1);
-    target.Inject(1, std::move(frame));
-    target.Run(i % 3 == 0 ? 25'000 : 700);
-  }
-  target.Run(80'000);
-  EgressDigest digest;
-  digest.Capture(target);
-  return digest;
+  ExpectIdentityScheduleAndRerun(oracle::Design::kSwitch);
 }
 
 TEST(StaticSchedule, NatBitExactUnderAdoptedSchedule) {
-  const EgressDigest run = RunNatWorkload();
-  const EgressDigest rerun = RunNatWorkload();
-  ASSERT_GT(run.frames, 0u);
-  EXPECT_EQ(run, rerun);
-}
-
-EgressDigest RunMemcachedWorkload() {
-  MemcachedConfig config;
-  config.cores = 4;
-  MemcachedService service(config);
-  FpgaTarget target(service);
-  ExpectIdentitySchedule(target.sim(), "memcached");
-  MemaslapConfig workload;
-  workload.server_mac = config.mac;
-  workload.server_ip = config.ip;
-  workload.key_space = 24;
-  MemaslapLoadgen loadgen(workload);
-  for (usize i = 0; i < loadgen.prewarm_count(); ++i) {
-    target.Inject(0, loadgen.PrewarmFrame(i));
-    target.Run(2'500);
-  }
-  for (usize i = 0; i < 32; ++i) {
-    target.Inject(static_cast<u8>(i % 4), loadgen.WorkloadFrame(i));
-    target.Run(i % 5 == 0 ? 15'000 : 400);
-  }
-  target.Run(80'000);
-  EgressDigest digest;
-  digest.Capture(target);
-  return digest;
+  ExpectIdentityScheduleAndRerun(oracle::Design::kNat);
 }
 
 TEST(StaticSchedule, MemcachedBitExactUnderAdoptedSchedule) {
-  const EgressDigest run = RunMemcachedWorkload();
-  const EgressDigest rerun = RunMemcachedWorkload();
-  ASSERT_GT(run.frames, 0u);
-  EXPECT_EQ(run, rerun);
+  ExpectIdentityScheduleAndRerun(oracle::Design::kMemcached);
 }
 
 // --- Pre-flight elaboration hook ----------------------------------------------

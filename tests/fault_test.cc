@@ -61,6 +61,8 @@ TEST(FaultPlan, RejectsMalformedEntries) {
   EXPECT_FALSE(ParseFaultPlan("p bernoulli 1.5").ok());     // p out of range
   EXPECT_FALSE(ParseFaultPlan("p burst 200 100 0.5").ok()); // empty window
   EXPECT_FALSE(ParseFaultPlan("oneshot 5").ok());           // no point name
+  EXPECT_FALSE(ParseFaultPlan("p oneshot -5").ok());        // signed tick
+  EXPECT_FALSE(ParseFaultPlan("p oneshot 18446744073709551616").ok());  // overflow
 }
 
 TEST(FaultPlan, RejectsDuplicatePointEntries) {
@@ -710,14 +712,16 @@ TEST(TopoFaultPlan, TimeSuffixesNormalizeToPicoseconds) {
       "crash host=b at=2ns\n"
       "crash host=c at=3us\n"
       "crash host=d at=4ms\n"
-      "crash host=e at=1s\n");
+      "crash host=e at=1s\n"
+      "crash host=f at=18446744073709551615\n");  // the largest tick that fits
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ASSERT_EQ(plan->topo_events.size(), 5u);
+  ASSERT_EQ(plan->topo_events.size(), 6u);
   EXPECT_EQ(plan->topo_events[0].at, 1500u);
   EXPECT_EQ(plan->topo_events[1].at, 2'000u);
   EXPECT_EQ(plan->topo_events[2].at, 3'000'000u);
   EXPECT_EQ(plan->topo_events[3].at, 4ull * kPicosPerMilli);
   EXPECT_EQ(plan->topo_events[4].at, 1'000'000'000'000ull);
+  EXPECT_EQ(plan->topo_events[5].at, 18'446'744'073'709'551'615ull);
 }
 
 TEST(TopoFaultPlan, ToStringRoundTrips) {
@@ -745,6 +749,12 @@ TEST(TopoFaultPlan, DiagnosticsNameTheDefectAndLine) {
         << text << " -> " << plan.status().ToString();
   };
   expect_error("crash host=h1 at=5xs", "bad time operand '5xs' (ps, or ns/us/ms/s suffix)");
+  // Times are unsigned and must fit 64 bits once scaled: never a wrapped tick.
+  expect_error("crash host=h0 at=-1us", "bad time operand '-1us'");
+  expect_error("crash host=h0 at=+1us", "bad time operand '+1us'");
+  expect_error("crash host=h0 at=20000000000s", "bad time operand '20000000000s'");
+  expect_error("crash host=h0 at=18446744073709551616", "bad time operand '18446744073709551616'");
+  expect_error("partition {h0}|{h1} from=-1ms to=2ms", "bad time operand '-1ms'");
   expect_error("crash host=h1 when=5ms", "unknown operand 'when=5ms' (expected host=<h> at=<t>)");
   expect_error("crash host=h1", "crash needs 'host=<h> at=<t>'");
   expect_error("restart at=5ms", "restart needs 'host=<h> at=<t>'");

@@ -20,13 +20,12 @@
 #include "src/fault/fault_registry.h"
 #include "src/services/swim_service.h"
 #include "src/sim/chaos.h"
+#include "src/soak/workloads.h"
 #include "src/sim/topology.h"
 
 namespace emu {
 namespace {
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
 constexpr Picoseconds kBootDelay = 5 * kPicosPerMilli;
 
 std::vector<SwimMember> ClusterMembers(usize hosts) {
@@ -62,13 +61,7 @@ struct Cluster {
     return events_executed;
   }
 
-  u64 SwimDigest() const {
-    u64 combined = kFnvOffset;
-    for (const auto& peer : peers) {
-      combined = (combined ^ peer->EventsDigest()) * kFnvPrime;
-    }
-    return combined;
-  }
+  u64 SwimDigest() const { return soak::SwimDigest(peers); }
 };
 
 Cluster MakeCluster(usize hosts, u64 seed, u64 run_ms, const std::string& plan_text) {

@@ -1,27 +1,36 @@
-// Quiescence-kernel equivalence suite.
+// The kernel oracle (tests/kernel_oracle.h) and the kernel's wake, commit
+// and fallback contracts.
 //
-// The fast path (quiescence fast-forward + epoch-lazy WaitUntil evaluation,
-// src/hdl/simulator.h) is an optimization shortcut, not a semantics change:
-// with SetFastPath(false) every cycle executes and every parked predicate is
-// evaluated per edge — the reference semantics. These tests run the same
-// workload both ways and require bit-exact agreement on everything
-// observable: cycle counts, egress frames (ports and bytes), service
-// counters, fault logs, and resume counts. They also pin the WaitUntil wake
-// contract: parked processes wake in registration order, on exactly the edge
-// the predicate first holds.
+// The oracle lattice runs every stock design under idle and saturated
+// pacing through the exact, fast and RunUntil drives, and requires the fast
+// and RunUntil drives to agree with exact on everything observable: cycle
+// counts, egress frames (ports and bytes), service counters, fault logs,
+// resume counts and edge accounting. In fast mode it also asserts that each
+// pacing exercises the path it names: idle runs fast-forward at least 90% of
+// their cycles, saturated runs execute at least 90% of their traffic phase
+// as edges.
+//
+// The rest of the file pins the WaitUntil wake contract (parked processes
+// wake in registration order, on exactly the edge the predicate first
+// holds), the lost-wakeup and testbench-write regressions, when wake routing
+// engages and drops, the soak shape's exact edge split, and the EdgeObserver
+// fallback to gapless per-edge execution.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/fnv.h"
 #include "src/core/metrics.h"
 #include "src/core/targets.h"
 #include "src/debug/controller.h"
 #include "src/fault/fault_registry.h"
 #include "src/fault/frame_impairer.h"
+#include "src/hdl/elab_catalog.h"
 #include "src/hdl/fifo.h"
 #include "src/hdl/signal.h"
 #include "src/hdl/vcd_tracer.h"
@@ -29,264 +38,85 @@
 #include "src/ip/cam.h"
 #include "src/ip/hash_cam.h"
 #include "src/ip/logic_cam.h"
-#include "src/net/udp.h"
 #include "src/services/learning_switch.h"
-#include "src/services/memcached_service.h"
-#include "src/services/nat_service.h"
-#include "src/sim/memaslap.h"
+#include "src/soak/workloads.h"
+#include "tests/kernel_oracle.h"
 
 namespace emu {
 namespace {
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
+using oracle::BroadcastFrame;
+using oracle::Design;
+using oracle::Drive;
+using oracle::ExpectEquivalent;
+using oracle::Pacing;
+using oracle::RunDesign;
+using oracle::RunDigest;
+using oracle::UnicastFrame;
 
-u64 DigestEgress(const std::vector<EgressFrame>& egress) {
-  u64 h = kFnvOffset;
-  for (const EgressFrame& entry : egress) {
-    h = (h ^ entry.port) * kFnvPrime;
-    for (u8 byte : entry.frame.bytes()) {
-      h = (h ^ byte) * kFnvPrime;
-    }
-  }
-  return h;
-}
+// --- The oracle lattice: design x pacing x drive ---------------------------------
 
-// Everything a run can disagree on.
-struct RunDigest {
-  Cycle final_now = 0;
-  usize egress_count = 0;
-  u64 egress_digest = 0;
-  std::vector<std::pair<std::string, u64>> metrics;
-  u64 resumes_total = 0;  // per-process resumes must match edge-for-edge
-  u64 edges_run = 0;
-  u64 cycles_fast_forwarded = 0;
-
-  void CaptureProfile(const Simulator& sim) {
-    const SimProfile profile = sim.ProfileReport();
-    edges_run = profile.edges_run;
-    cycles_fast_forwarded = profile.cycles_fast_forwarded;
-    for (const ProcessProfile& process : profile.processes) {
-      resumes_total += process.resumes;
-    }
-  }
+struct Cell {
+  Design design;
+  Pacing pacing;
+  Drive drive;
 };
 
-void ExpectEquivalent(const RunDigest& fast, const RunDigest& exact) {
-  EXPECT_EQ(fast.final_now, exact.final_now);
-  EXPECT_EQ(fast.egress_count, exact.egress_count);
-  EXPECT_EQ(fast.egress_digest, exact.egress_digest);
-  EXPECT_EQ(fast.metrics, exact.metrics);
-  EXPECT_EQ(fast.resumes_total, exact.resumes_total);
-  // The exact run executed every cycle; the fast run must account for the
-  // same span as executed edges plus fast-forwarded cycles.
-  EXPECT_EQ(fast.edges_run + fast.cycles_fast_forwarded, exact.edges_run);
-  EXPECT_EQ(exact.cycles_fast_forwarded, 0u);
+// Prints as switch_idle_fast &c.: the name ctest lists the cell under.
+void PrintTo(const Cell& cell, std::ostream* out) {
+  *out << oracle::DesignName(cell.design) << '_' << oracle::PacingName(cell.pacing) << '_'
+       << oracle::DriveName(cell.drive);
 }
 
-// --- Service workloads, fast vs exact -------------------------------------------
-
-const MacAddress kHostMacs[4] = {
-    MacAddress::FromU48(0x02'00'00'00'00'01), MacAddress::FromU48(0x02'00'00'00'00'02),
-    MacAddress::FromU48(0x02'00'00'00'00'03), MacAddress::FromU48(0x02'00'00'00'00'04)};
-const Ipv4Address kHostIps[4] = {Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2),
-                                 Ipv4Address(10, 0, 0, 3), Ipv4Address(10, 0, 0, 4)};
-
-RunDigest RunLearningSwitch(bool fast_path) {
-  LearningSwitch service;
-  FpgaTarget target(service);
-  target.sim().SetFastPath(fast_path);
-  MetricsRegistry metrics;
-  service.RegisterMetrics(metrics);
-
-  // Teach all four MACs with broadcast frames, then unicast between them in
-  // bursts with long idle gaps — the idle-heavy pattern the fast path eats.
-  for (u8 port = 0; port < 4; ++port) {
-    target.Inject(port,
-                  MakeUdpPacket({MacAddress::Broadcast(), kHostMacs[port], kHostIps[port],
-                                 Ipv4Address(10, 0, 0, 99), 1, 2},
-                                std::vector<u8>{port}));
-    target.Run(20'000);
-  }
-  for (usize burst = 0; burst < 5; ++burst) {
-    for (usize i = 0; i < 8; ++i) {
-      const u8 src = static_cast<u8>(i % 4);
-      const u8 dst = static_cast<u8>((i + 1 + burst) % 4);
-      target.Inject(src, MakeUdpPacket({kHostMacs[dst], kHostMacs[src], kHostIps[src],
-                                        kHostIps[dst], 1000, 2000},
-                                       std::vector<u8>(1 + i, static_cast<u8>(burst))));
+std::vector<Cell> AllCells() {
+  std::vector<Cell> cells;
+  for (const Design design :
+       {Design::kSwitch, Design::kNat, Design::kMemcached, Design::kNatFaults}) {
+    for (const Pacing pacing : {Pacing::kIdle, Pacing::kSaturated}) {
+      for (const Drive drive : {Drive::kExact, Drive::kFast, Drive::kRunUntil}) {
+        cells.push_back({design, pacing, drive});
+      }
     }
-    target.Run(50'000);
   }
-
-  RunDigest digest;
-  digest.final_now = target.sim().now();
-  const auto egress = target.TakeEgress();
-  digest.egress_count = egress.size();
-  digest.egress_digest = DigestEgress(egress);
-  digest.metrics = metrics.Snapshot();
-  digest.CaptureProfile(target.sim());
-  return digest;
+  return cells;
 }
 
-TEST(KernelEquivalence, LearningSwitchBitExact) {
-  const RunDigest fast = RunLearningSwitch(true);
-  const RunDigest exact = RunLearningSwitch(false);
-  ASSERT_GT(fast.egress_count, 0u);
-  ExpectEquivalent(fast, exact);
-  // The workload is idle-heavy: the fast path must actually skip cycles.
-  EXPECT_GT(fast.cycles_fast_forwarded, 0u);
-}
+class KernelOracle : public ::testing::TestWithParam<Cell> {};
 
-RunDigest RunNat(bool fast_path) {
-  NatConfig config;
-  NatService service(config);
-  FpgaTarget target(service);
-  target.sim().SetFastPath(fast_path);
-  MetricsRegistry metrics;
-  service.RegisterMetrics(metrics);
-
-  const MacAddress host_mac = MacAddress::FromU48(0x02'00'00'00'11'10);
-  for (usize i = 0; i < 30; ++i) {
-    Packet frame = MakeUdpPacket(
-        {config.internal_mac, host_mac, Ipv4Address(192, 168, 1, static_cast<u8>(2 + i % 8)),
-         Ipv4Address(8, 8, 8, 8), static_cast<u16>(5000 + i), 53},
-        std::vector<u8>{'q', static_cast<u8>(i)});
-    frame.set_src_port(1);
-    target.Inject(1, std::move(frame));
-    target.Run(i % 3 == 0 ? 30'000 : 500);  // mixed idle gaps and back-pressure
+TEST_P(KernelOracle, BitExact) {
+  const auto [design, pacing, drive] = GetParam();
+  const RunDigest exact = RunDesign(design, pacing, Drive::kExact);
+  ASSERT_GT(exact.egress_count, 0u);
+  EXPECT_EQ(exact.profile.cycles_fast_forwarded, 0u);
+  if (design == Design::kNatFaults) {
+    EXPECT_GT(exact.faults_fired, 0u);  // the plan actually fired
   }
-  target.Run(100'000);
-
-  RunDigest digest;
-  digest.final_now = target.sim().now();
-  const auto egress = target.TakeEgress();
-  digest.egress_count = egress.size();
-  digest.egress_digest = DigestEgress(egress);
-  digest.metrics = metrics.Snapshot();
-  digest.CaptureProfile(target.sim());
-  return digest;
-}
-
-TEST(KernelEquivalence, NatBitExact) {
-  const RunDigest fast = RunNat(true);
-  const RunDigest exact = RunNat(false);
-  ASSERT_GT(fast.egress_count, 0u);
-  ExpectEquivalent(fast, exact);
-  EXPECT_GT(fast.cycles_fast_forwarded, 0u);
-}
-
-RunDigest RunMemcached(bool fast_path) {
-  MemcachedConfig config;
-  config.cores = 4;
-  MemcachedService service(config);
-  FpgaTarget target(service);
-  target.sim().SetFastPath(fast_path);
-  MetricsRegistry metrics;
-  service.RegisterMetrics(metrics);
-
-  MemaslapConfig workload;
-  workload.server_mac = config.mac;
-  workload.server_ip = config.ip;
-  workload.key_space = 40;
-  MemaslapLoadgen loadgen(workload);
-  for (usize i = 0; i < loadgen.prewarm_count(); ++i) {
-    target.Inject(0, loadgen.PrewarmFrame(i));
-    target.Run(2'000);
+  if (drive == Drive::kExact) {
+    return;
   }
-  for (usize i = 0; i < 60; ++i) {
-    target.Inject(static_cast<u8>(i % 4), loadgen.WorkloadFrame(i));
-    target.Run(i % 5 == 0 ? 20'000 : 300);
+  const RunDigest got = RunDesign(design, pacing, drive);
+  ExpectEquivalent(got, exact);
+  if (drive != Drive::kFast) {
+    return;
   }
-  target.Run(100'000);
-
-  RunDigest digest;
-  digest.final_now = target.sim().now();
-  const auto egress = target.TakeEgress();
-  digest.egress_count = egress.size();
-  digest.egress_digest = DigestEgress(egress);
-  digest.metrics = metrics.Snapshot();
-  digest.CaptureProfile(target.sim());
-  return digest;
-}
-
-TEST(KernelEquivalence, MemcachedBitExact) {
-  const RunDigest fast = RunMemcached(true);
-  const RunDigest exact = RunMemcached(false);
-  ASSERT_GT(fast.egress_count, 0u);
-  ExpectEquivalent(fast, exact);
-  EXPECT_GT(fast.cycles_fast_forwarded, 0u);
-}
-
-// --- Fault plans, fast vs exact --------------------------------------------------
-//
-// An attached registry samples armed targets per tick; across a quiescent
-// jump the skipped ticks are booked in bulk. The fault log (site, tick,
-// detail) and every response byte must replay identically either way.
-
-struct FaultDigest {
-  RunDigest run;
-  u64 faults_fired = 0;
-  u64 log_digest = 0;
-};
-
-FaultDigest RunNatUnderFaults(bool fast_path) {
-  NatConfig config;
-  config.max_mappings = 64;
-  NatService service(config);
-  FpgaTarget target(service);
-  target.sim().SetFastPath(fast_path);
-  MetricsRegistry metrics;
-  service.RegisterMetrics(metrics);
-
-  FaultRegistry registry(7);
-  service.RegisterFaultPoints(registry);
-  target.sim().AttachFaultRegistry(&registry);
-  const auto plan = ParseFaultPlan(
-      "nat.table_full burst 20000 60000 0.5; nat.flows bernoulli 0.001");
-  if (!plan.ok()) {
-    ADD_FAILURE() << "bad fault plan: " << plan.status().ToString();
-    return FaultDigest{};
+  const u64 fast_forwarded = got.profile.cycles_fast_forwarded;
+  if (design == Design::kNatFaults) {
+    // An armed per-tick plan pins every edge: only the disarmed drain jumps.
+    EXPECT_GT(fast_forwarded, 0u);
+  } else if (pacing == Pacing::kIdle) {
+    EXPECT_GE(fast_forwarded * 10, got.final_now * 9)
+        << "idle pacing fast-forwarded only " << fast_forwarded << " of " << got.final_now
+        << " cycles";
+  } else {
+    EXPECT_GE(got.traffic_edges * 10, got.traffic_cycles * 9)
+        << "saturated pacing executed only " << got.traffic_edges << " of "
+        << got.traffic_cycles << " traffic-phase cycles";
   }
-  registry.ArmPlan(*plan);
-
-  const MacAddress host_mac = MacAddress::FromU48(0x02'00'00'00'11'10);
-  for (usize i = 0; i < 40; ++i) {
-    Packet frame = MakeUdpPacket(
-        {config.internal_mac, host_mac, Ipv4Address(192, 168, 1, static_cast<u8>(2 + i % 100)),
-         Ipv4Address(8, 8, 8, 8), static_cast<u16>(1024 + i), 53},
-        std::vector<u8>{'p'});
-    frame.set_src_port(1);
-    target.Inject(1, std::move(frame));
-    target.Run(4'000);
-  }
-  registry.DisarmAll();
-  target.Run(150'000);  // drain fast-forwards once disarmed
-
-  FaultDigest digest;
-  digest.run.final_now = target.sim().now();
-  const auto egress = target.TakeEgress();
-  digest.run.egress_count = egress.size();
-  digest.run.egress_digest = DigestEgress(egress);
-  digest.run.metrics = metrics.Snapshot();
-  digest.run.CaptureProfile(target.sim());
-  digest.faults_fired = registry.fired_total();
-  digest.log_digest = registry.LogDigest();
-  target.sim().AttachFaultRegistry(nullptr);
-  return digest;
 }
 
-TEST(KernelEquivalence, FaultPlanReplayBitExact) {
-  const FaultDigest fast = RunNatUnderFaults(true);
-  const FaultDigest exact = RunNatUnderFaults(false);
-  ExpectEquivalent(fast.run, exact.run);
-  EXPECT_EQ(fast.faults_fired, exact.faults_fired);
-  EXPECT_EQ(fast.log_digest, exact.log_digest);
-  EXPECT_GT(fast.faults_fired, 0u);  // the plan actually fired
-  EXPECT_GT(fast.run.cycles_fast_forwarded, 0u);  // the drain actually jumped
-}
+INSTANTIATE_TEST_SUITE_P(Cells, KernelOracle, ::testing::ValuesIn(AllCells()));
 
-// --- VCD equivalence --------------------------------------------------------------
+// --- VCD equivalence -------------------------------------------------------------
 //
 // An attached tracer pins the kernel per-edge, so its dump must be identical
 // with the fast path nominally on or off.
@@ -303,9 +133,7 @@ std::string RenderSwitchVcd(bool fast_path) {
   tracer.AddSignal("learned", 16, [&] { return metrics.Get("switch.learned"); });
   tracer.Sample();
   tracer.Attach();
-  target.Inject(0, MakeUdpPacket({MacAddress::Broadcast(), kHostMacs[0], kHostIps[0],
-                                  kHostIps[1], 1, 2},
-                                 std::vector<u8>{1}));
+  target.Inject(0, BroadcastFrame(0, 1));
   target.Run(5'000);
   tracer.Detach();
   return tracer.Render();
@@ -435,7 +263,7 @@ TEST(WaitUntilTest, StallExpiryWakesParkedConsumer) {
   EXPECT_EQ(log[0], 1006);
 }
 
-// --- Lost-wakeup regressions ------------------------------------------------------
+// --- Lost-wakeup regressions -----------------------------------------------------
 //
 // Every site that mutates state a WaitUntil predicate can observe must bump
 // the wake epoch, or the fast path sleeps through the mutation while the
@@ -580,7 +408,7 @@ TEST(LostWakeupRegression, CaspVariableWriteWakesParkedReader) {
 // Impairer-delayed deliveries land on the wire at a future cycle while the
 // pipeline is otherwise quiescent; the port's Deliver must announce each
 // arrival so the fast path replays the delayed schedule bit-exactly.
-FaultDigest RunImpairedSwitch(bool fast_path) {
+RunDigest RunImpairedSwitch(bool fast_path) {
   LearningSwitch service;
   FpgaTarget target(service);
   target.sim().SetFastPath(fast_path);
@@ -594,23 +422,17 @@ FaultDigest RunImpairedSwitch(bool fast_path) {
       ParseFaultPlan("ingress.delay bernoulli 0.4 30000; ingress.dup bernoulli 0.1");
   if (!plan.ok()) {
     ADD_FAILURE() << "bad fault plan: " << plan.status().ToString();
-    return FaultDigest{};
+    return RunDigest{};
   }
   registry.ArmPlan(*plan);
 
   for (u8 port = 0; port < 4; ++port) {
-    target.Inject(port,
-                  MakeUdpPacket({MacAddress::Broadcast(), kHostMacs[port], kHostIps[port],
-                                 Ipv4Address(10, 0, 0, 99), 1, 2},
-                                std::vector<u8>{port}));
+    target.Inject(port, BroadcastFrame(port, port));
     target.Run(20'000);
   }
   for (usize i = 0; i < 24; ++i) {
     const u8 src = static_cast<u8>(i % 4);
-    const u8 dst = static_cast<u8>((i + 1) % 4);
-    Packet frame = MakeUdpPacket(
-        {kHostMacs[dst], kHostMacs[src], kHostIps[src], kHostIps[dst], 1000, 2000},
-        std::vector<u8>(1 + i % 7, static_cast<u8>(i)));
+    Packet frame = UnicastFrame(src, static_cast<u8>((i + 1) % 4), 1 + i % 7, static_cast<u8>(i));
     const Cycle now = target.sim().now();
     const FrameImpairer::Decision d = tap.Decide(now, frame.size());
     if (!d.drop) {
@@ -626,29 +448,20 @@ FaultDigest RunImpairedSwitch(bool fast_path) {
   registry.DisarmAll();
   target.Run(100'000);
 
-  FaultDigest digest;
-  digest.run.final_now = target.sim().now();
-  const auto egress = target.TakeEgress();
-  digest.run.egress_count = egress.size();
-  digest.run.egress_digest = DigestEgress(egress);
-  digest.run.metrics = metrics.Snapshot();
-  digest.run.CaptureProfile(target.sim());
-  digest.faults_fired = registry.fired_total();
-  digest.log_digest = registry.LogDigest();
-  digest.log_digest = digest.log_digest * kFnvPrime ^ tap.delayed();
-  digest.log_digest = digest.log_digest * kFnvPrime ^ tap.duplicated();
+  RunDigest digest;
+  digest.Capture(target, metrics, &registry);
+  digest.fault_log_digest = Fnv1aWord(digest.fault_log_digest, tap.delayed());
+  digest.fault_log_digest = Fnv1aWord(digest.fault_log_digest, tap.duplicated());
   target.sim().AttachFaultRegistry(nullptr);
   return digest;
 }
 
 TEST(LostWakeupRegression, ImpairerDelayedDeliveryBitExact) {
-  const FaultDigest fast = RunImpairedSwitch(true);
-  const FaultDigest exact = RunImpairedSwitch(false);
-  ExpectEquivalent(fast.run, exact.run);
-  EXPECT_EQ(fast.faults_fired, exact.faults_fired);
-  EXPECT_EQ(fast.log_digest, exact.log_digest);
+  const RunDigest fast = RunImpairedSwitch(true);
+  const RunDigest exact = RunImpairedSwitch(false);
+  ExpectEquivalent(fast, exact);
   EXPECT_GT(fast.faults_fired, 0u);  // the delay plan actually rescheduled frames
-  EXPECT_GT(fast.run.cycles_fast_forwarded, 0u);
+  EXPECT_GT(fast.profile.cycles_fast_forwarded, 0u);
 }
 
 // --- Testbench writes between Run calls ------------------------------------------
@@ -712,7 +525,7 @@ TEST(KernelEquivalence, TestbenchWritesBetweenRunsCommitOnNextEdge) {
   }
 }
 
-// --- Forced wake inside a skipped quiescent window --------------------------------
+// --- Forced wake inside a skipped quiescent window -------------------------------
 //
 // A stall expiry schedules a forced wake that lands in the middle of what
 // would otherwise be one long quiescent window. The fast path must split the
@@ -803,14 +616,150 @@ TEST(KernelEquivalence, ForcedWakeMidQuiescentWindowBooksIdentically) {
   EXPECT_GT(fast.cycles_fast_forwarded, 0u);  // the idle spans actually jumped
 }
 
-// --- Profiling --------------------------------------------------------------------
+// --- Wake routing ----------------------------------------------------------------
+
+// Every stock service pipeline declares its IO, so the first Run builds the
+// route table on its own — no call, no flag.
+TEST(FlatSchedule, WakeRoutingEngagesOnStockPipelineAfterFirstRun) {
+  LearningSwitch service;
+  FpgaTarget target(service);
+  EXPECT_FALSE(target.sim().wake_routing_active());
+  target.Run(1);
+  EXPECT_TRUE(target.sim().wake_routing_active());
+}
+
+HwProcess SleepForever() { co_await PauseFor(1'000'000'000); }
+
+// A process registered after routing engaged has no IO declaration the
+// table was built from: routing drops for good, and the run stays
+// bit-exact on global wake epochs.
+TEST(FlatSchedule, LateAddProcessDropsWakeRouting) {
+  auto run = [](bool late_process) {
+    LearningSwitch service;
+    FpgaTarget target(service);
+    target.Run(1);
+    EXPECT_TRUE(target.sim().wake_routing_active());
+    if (late_process) {
+      const usize index = target.sim().AddProcess(SleepForever(), "late");
+      elab::IoDecl(target.sim().catalog(), index);  // declared afterwards: still dropped
+      EXPECT_FALSE(target.sim().wake_routing_active());
+    }
+    for (usize i = 0; i < 16; ++i) {
+      target.Inject(static_cast<u8>(i % 4), BroadcastFrame(static_cast<u8>(i % 4),
+                                                           static_cast<u8>(i)));
+      target.Run(120);
+    }
+    target.Run(5'000);
+    EXPECT_EQ(target.sim().wake_routing_active(), !late_process);
+    return std::make_pair(target.sim().now(), soak::EgressDigest(target.TakeEgress()));
+  };
+  const auto routed = run(false);
+  const auto global = run(true);
+  EXPECT_EQ(routed.first, global.first);
+  EXPECT_EQ(routed.second, global.second);
+}
+
+// --- Edge accounting on the soak shape -------------------------------------------
+
+// The run loop skips the quiescence scan only where the scan could not have
+// found a window, so the split equals that of a scan before every edge —
+// the split bench/baselines/BENCH_kernel.json records for the soak shape
+// bench/microbench_kernel runs (src/soak/workloads.h), saturated and idle.
+TEST(FlatSchedule, MicrobenchEdgeSplitIsPinned) {
+  const soak::SwitchSoakResult saturated = soak::RunSwitchSoak(2'000'000, 10);
+  EXPECT_EQ(saturated.edges_run, 1'999'935u);
+  EXPECT_EQ(saturated.cycles_fast_forwarded, 50'065u);
+  const soak::SwitchSoakResult idle = soak::RunSwitchSoak(2'000'000, 1'000);
+  EXPECT_EQ(idle.edges_run, 32'024u);
+  EXPECT_EQ(idle.cycles_fast_forwarded, 2'017'976u);
+}
+
+// --- Fallback contract -----------------------------------------------------------
+
+// Counts edges; nothing may be fast-forwarded while one of these is
+// attached, so the count must equal the full gapless cycle range it was
+// attached for.
+class EdgeCounter : public EdgeObserver {
+ public:
+  void OnEdge(Cycle now) override {
+    if (count_ == 0) {
+      first_ = now;
+    }
+    last_ = now;
+    ++count_;
+  }
+  u64 count() const { return count_; }
+  Cycle first() const { return first_; }
+  Cycle last() const { return last_; }
+
+ private:
+  u64 count_ = 0;
+  Cycle first_ = 0;
+  Cycle last_ = 0;
+};
+
+// Attaching an EdgeObserver mid-run must fall back to gapless per-edge
+// execution for the observed span, keep digests bit-exact, and resume
+// fast-forwarding after detach.
+TEST(FlatSchedule, EdgeObserverMidRunFallsBackToDynamicDispatch) {
+  auto run = [](EdgeCounter* counter) {
+    LearningSwitch service;
+    FpgaTarget target(service);
+    MetricsRegistry metrics;
+    service.RegisterMetrics(metrics);
+
+    for (usize i = 0; i < 40; ++i) {
+      target.Inject(static_cast<u8>(i % 4), BroadcastFrame(static_cast<u8>(i % 4),
+                                                           static_cast<u8>(i)));
+      target.Run(150);
+    }
+    if (counter != nullptr) {
+      target.sim().AttachEdgeObserver(counter);
+    }
+    for (usize i = 0; i < 40; ++i) {
+      const u8 src = static_cast<u8>(i % 4);
+      target.Inject(src, UnicastFrame(src, static_cast<u8>((i + 1) % 4), 1, static_cast<u8>(i)));
+      target.Run(150);
+    }
+    if (counter != nullptr) {
+      target.sim().DetachEdgeObserver(counter);
+    }
+    target.Run(30'000);
+
+    RunDigest digest;
+    digest.Capture(target, metrics);
+    return digest;
+  };
+
+  EdgeCounter counter;
+  const RunDigest observed = run(&counter);
+  const RunDigest unobserved = run(nullptr);
+
+  // The observer saw every single edge of its span: 40 injections * 150
+  // cycles, gapless — proof fast-forward stood down.
+  EXPECT_EQ(counter.count(), 40u * 150u);
+  EXPECT_EQ(counter.last() - counter.first() + 1, counter.count());
+
+  // And observation changed nothing observable; the unobserved run
+  // fast-forwards what the observed one executed.
+  EXPECT_GT(observed.profile.edges_run, unobserved.profile.edges_run);
+  EXPECT_EQ(observed.final_now, unobserved.final_now);
+  EXPECT_EQ(observed.egress_count, unobserved.egress_count);
+  EXPECT_EQ(observed.egress_digest, unobserved.egress_digest);
+  EXPECT_EQ(observed.metrics, unobserved.metrics);
+  EXPECT_EQ(observed.resumes_total, unobserved.resumes_total);
+  EXPECT_EQ(observed.profile.edges_run + observed.profile.cycles_fast_forwarded,
+            unobserved.profile.edges_run + unobserved.profile.cycles_fast_forwarded);
+}
+
+// --- Profiling -------------------------------------------------------------------
 
 TEST(ProfileReportTest, CountsResumesAndJumps) {
   Simulator sim;
   SyncFifo<int> fifo(sim, "f", 8, 32);
   std::vector<int> log;
   sim.AddProcess(Consumer(fifo, log, 1), "consumer");
-  sim.SetProfilingMode(ProfilingMode::kFull);
+  sim.SetProfilingMode(ProfilingMode::kSampled, /*sample_stride=*/1);
   fifo.Push(1);
   sim.Run(10'000);
 

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/fnv.h"
 #include "src/core/metrics.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fault_registry.h"
@@ -30,29 +31,14 @@
 namespace emu {
 namespace {
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-void FoldU64(u64& h, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xff)) * kFnvPrime;
-  }
-}
-
-void FoldBytes(u64& h, std::span<const u8> bytes) {
-  for (u8 b : bytes) {
-    h = (h ^ b) * kFnvPrime;
-  }
-}
-
 // Per-host arrival log: folds (arrival time, frame bytes) in arrival order.
 struct HostLog {
   u64 digest = kFnvOffset;
   u64 count = 0;
 
   void Note(Picoseconds at, const Packet& frame) {
-    FoldU64(digest, static_cast<u64>(at));
-    FoldBytes(digest, frame.bytes());
+    digest = Fnv1aU64(digest, static_cast<u64>(at));
+    digest = Fnv1aBytes(digest, frame.bytes());
     ++count;
   }
 };
@@ -72,8 +58,8 @@ struct TopoDigest {
 
 void FoldMetrics(u64& h, const MetricsRegistry& metrics) {
   for (const auto& [name, value] : metrics.Snapshot()) {
-    FoldBytes(h, std::span<const u8>(reinterpret_cast<const u8*>(name.data()), name.size()));
-    FoldU64(h, value);
+    h = Fnv1aBytes(h, name);
+    h = Fnv1aU64(h, value);
   }
 }
 
@@ -405,22 +391,22 @@ TEST(ParallelEquivalence, RawRunnerPingPongBitExact) {
     u64 digest = kFnvOffset;
     usize volleys = 0;
     link.AttachB([&](Packet frame) {
-      FoldU64(digest, static_cast<u64>(b.now()));
+      digest = Fnv1aU64(digest, static_cast<u64>(b.now()));
       frame[0] = static_cast<u8>(++volleys);
       if (volleys < 20) {
         link.SendToA(std::move(frame));
       }
     });
     link.AttachA([&](Packet frame) {
-      FoldU64(digest, static_cast<u64>(a.now()));
+      digest = Fnv1aU64(digest, static_cast<u64>(a.now()));
       link.SendToB(std::move(frame));
     });
 
     a.At(1'000'000, [&link] { link.SendToB(Packet(64)); });
     const u64 events = runner.Run({.threads = threads});
-    FoldU64(digest, events);
-    FoldU64(digest, runner.epochs());
-    FoldU64(digest, link.delivered());
+    digest = Fnv1aU64(digest, events);
+    digest = Fnv1aU64(digest, runner.epochs());
+    digest = Fnv1aU64(digest, link.delivered());
     return std::pair<u64, usize>{digest, volleys};
   };
   const auto serial = run(1);

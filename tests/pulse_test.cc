@@ -1,5 +1,5 @@
-// emu-pulse unit tests: the kernel phase profiler (SimProfile under
-// off/sampled/full modes, JSON + table exports), the RunnerPulse epoch
+// emu-pulse unit tests: the kernel phase profiler (SimProfile off and
+// sampled, down to stride 1, JSON + table exports), the RunnerPulse epoch
 // recorder (exact aggregates under a capped detail ring, a real multi-shard
 // run, and the no-perturbation guarantee), the bounded TimeSeriesRecorder
 // (halve-and-double downsampling), SLO clause parsing and evaluation, the
@@ -13,11 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/fnv.h"
 #include "src/core/histogram.h"
 #include "src/core/metrics.h"
 #include "src/core/targets.h"
 #include "src/net/ethernet.h"
-#include "src/net/udp.h"
 #include "src/obs/dashboard.h"
 #include "src/obs/pulse.h"
 #include "src/obs/sampler.h"
@@ -27,69 +27,26 @@
 #include "src/sim/event_scheduler.h"
 #include "src/sim/link.h"
 #include "src/sim/parallel_runner.h"
+#include "tests/kernel_oracle.h"
 
 namespace emu {
 namespace {
 
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-constexpr u64 kFnvPrime = 1099511628211ull;
-
-void FoldU64(u64& h, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xff)) * kFnvPrime;
-  }
-}
-
 // --- Kernel phase profiler -------------------------------------------------
 
-const MacAddress kMacs[4] = {
-    MacAddress::FromU48(0x02'00'00'00'00'01), MacAddress::FromU48(0x02'00'00'00'00'02),
-    MacAddress::FromU48(0x02'00'00'00'00'03), MacAddress::FromU48(0x02'00'00'00'00'04)};
-const Ipv4Address kIps[4] = {Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2),
-                             Ipv4Address(10, 0, 0, 3), Ipv4Address(10, 0, 0, 4)};
-
-struct ProfiledRun {
-  SimProfile profile;
-  u64 egress_digest = kFnvOffset;
-};
-
-// The kernel_equiv_test learning-switch workload, shortened: teach the MACs,
-// then unicast a few bursts. Returns the profile and an egress digest so a
-// test can assert profiling never perturbs behavior.
-ProfiledRun RunProfiledSwitch(ProfilingMode mode,
-                              u64 stride = Simulator::kDefaultProfilingStride) {
-  LearningSwitch service;
-  FpgaTarget target(service);
-  target.sim().SetProfilingMode(mode, stride);
-  for (u8 port = 0; port < 4; ++port) {
-    target.Inject(port, MakeUdpPacket({MacAddress::Broadcast(), kMacs[port], kIps[port],
-                                       Ipv4Address(10, 0, 0, 99), 1, 2},
-                                      std::vector<u8>{port}));
-    target.Run(20'000);
-  }
-  for (usize burst = 0; burst < 3; ++burst) {
-    for (usize i = 0; i < 8; ++i) {
-      const u8 src = static_cast<u8>(i % 4);
-      const u8 dst = static_cast<u8>((i + 1 + burst) % 4);
-      target.Inject(src, MakeUdpPacket({kMacs[dst], kMacs[src], kIps[src], kIps[dst],
-                                        1000, 2000},
-                                       std::vector<u8>(1 + i, static_cast<u8>(burst))));
-    }
-    target.Run(50'000);
-  }
-  ProfiledRun out;
-  out.profile = target.sim().ProfileReport();
-  for (const EgressFrame& entry : target.TakeEgress()) {
-    FoldU64(out.egress_digest, entry.port);
-    for (u8 byte : entry.frame.bytes()) {
-      out.egress_digest = (out.egress_digest ^ byte) * kFnvPrime;
-    }
-  }
-  return out;
+// The kernel oracle's idle learning-switch run (tests/kernel_oracle.h) under
+// `mode`: its profile plus an egress digest, so a test can assert profiling
+// never perturbs behavior.
+oracle::RunDigest RunProfiledSwitch(ProfilingMode mode,
+                                    u64 stride = Simulator::kDefaultProfilingStride) {
+  return oracle::RunDesign(oracle::Design::kSwitch, oracle::Pacing::kIdle, oracle::Drive::kFast,
+                           [mode, stride](FpgaTarget& target) {
+                             target.sim().SetProfilingMode(mode, stride);
+                           });
 }
 
 TEST(SimProfilePulse, OffModeCountsButNeverPopulates) {
-  const ProfiledRun run = RunProfiledSwitch(ProfilingMode::kOff);
+  const oracle::RunDigest run = RunProfiledSwitch(ProfilingMode::kOff);
   EXPECT_FALSE(run.profile.profiling_enabled);
   EXPECT_FALSE(run.profile.populated());
   EXPECT_GT(run.profile.edges_run, 0u);  // scalar counters stay valid
@@ -98,20 +55,19 @@ TEST(SimProfilePulse, OffModeCountsButNeverPopulates) {
 }
 
 TEST(SimProfilePulse, FullModeTimesEveryEdge) {
-  const ProfiledRun run = RunProfiledSwitch(ProfilingMode::kFull);
+  const oracle::RunDigest run = RunProfiledSwitch(ProfilingMode::kSampled, /*stride=*/1);
   ASSERT_TRUE(run.profile.profiling_enabled);
-  EXPECT_EQ(run.profile.mode, ProfilingMode::kFull);
   EXPECT_EQ(run.profile.sample_stride, 1u);
   EXPECT_TRUE(run.profile.populated());
   EXPECT_EQ(run.profile.edges_timed, run.profile.edges_run);
   EXPECT_EQ(run.profile.resume_dispatch.timed_calls, run.profile.resume_dispatch.calls);
-  // Under full profiling the estimate IS the measured total.
+  // At stride 1 the estimate IS the measured total.
   EXPECT_DOUBLE_EQ(run.profile.resume_dispatch.EstimatedTotalNs(),
                    static_cast<double>(run.profile.resume_dispatch.wall_ns));
 }
 
 TEST(SimProfilePulse, SampledModeTimesOneInStride) {
-  const ProfiledRun run = RunProfiledSwitch(ProfilingMode::kSampled, /*stride=*/4);
+  const oracle::RunDigest run = RunProfiledSwitch(ProfilingMode::kSampled, /*stride=*/4);
   ASSERT_TRUE(run.profile.profiling_enabled);
   EXPECT_EQ(run.profile.mode, ProfilingMode::kSampled);
   EXPECT_EQ(run.profile.sample_stride, 4u);
@@ -127,9 +83,9 @@ TEST(SimProfilePulse, SampledModeTimesOneInStride) {
 }
 
 TEST(SimProfilePulse, ProfilingDoesNotPerturbTheWorkload) {
-  const ProfiledRun off = RunProfiledSwitch(ProfilingMode::kOff);
-  const ProfiledRun sampled = RunProfiledSwitch(ProfilingMode::kSampled);
-  const ProfiledRun full = RunProfiledSwitch(ProfilingMode::kFull);
+  const oracle::RunDigest off = RunProfiledSwitch(ProfilingMode::kOff);
+  const oracle::RunDigest sampled = RunProfiledSwitch(ProfilingMode::kSampled);
+  const oracle::RunDigest full = RunProfiledSwitch(ProfilingMode::kSampled, /*stride=*/1);
   EXPECT_EQ(off.egress_digest, sampled.egress_digest);
   EXPECT_EQ(off.egress_digest, full.egress_digest);
   EXPECT_EQ(off.profile.edges_run, full.profile.edges_run);
@@ -142,8 +98,8 @@ double SampledPhaseShareOfRunWall() {
   LearningSwitch service;
   FpgaTarget target(service);
   target.sim().SetProfilingMode(ProfilingMode::kSampled);
-  const MacAddress a = kMacs[0];
-  const MacAddress b = kMacs[1];
+  const MacAddress a = oracle::kHostMacs[0];
+  const MacAddress b = oracle::kHostMacs[1];
   target.Inject(0, MakeEthernetFrame(MacAddress::Broadcast(), a, EtherType::kIpv4, {}));
   target.Inject(1, MakeEthernetFrame(MacAddress::Broadcast(), b, EtherType::kIpv4, {}));
   target.Run(50'000);
@@ -188,7 +144,7 @@ TEST(SimProfilePulse, SampledPhaseEstimatesStayWithinRunWall) {
 }
 
 TEST(SimProfilePulse, JsonAndTableExports) {
-  const ProfiledRun run = RunProfiledSwitch(ProfilingMode::kSampled, /*stride=*/4);
+  const oracle::RunDigest run = RunProfiledSwitch(ProfilingMode::kSampled, /*stride=*/4);
   const std::string json = obs::SimProfileJson(run.profile);
   EXPECT_NE(json.find("\"profiling_enabled\":true"), std::string::npos);
   EXPECT_NE(json.find("\"mode\":\"sampled\""), std::string::npos);
@@ -294,13 +250,13 @@ u64 RunFourShardVolleys(usize threads, obs::RunnerPulse* pulse) {
   const auto wire = [](Link& link, EventScheduler& a_clock, EventScheduler& b_clock,
                        u64& digest, usize& count) {
     link.AttachB([&link, &digest, &b_clock, &count](Packet frame) {
-      FoldU64(digest, static_cast<u64>(b_clock.now()));
+      digest = Fnv1aU64(digest, static_cast<u64>(b_clock.now()));
       if (++count < 12) {
         link.SendToA(std::move(frame));
       }
     });
     link.AttachA([&link, &digest, &a_clock](Packet frame) {
-      FoldU64(digest, static_cast<u64>(a_clock.now()));
+      digest = Fnv1aU64(digest, static_cast<u64>(a_clock.now()));
       link.SendToB(std::move(frame));
     });
   };
@@ -311,12 +267,12 @@ u64 RunFourShardVolleys(usize threads, obs::RunnerPulse* pulse) {
 
   const u64 events = runner.Run({.threads = threads});
   u64 digest = kFnvOffset;
-  FoldU64(digest, digests[0]);
-  FoldU64(digest, digests[1]);
-  FoldU64(digest, events);
-  FoldU64(digest, runner.epochs());
-  FoldU64(digest, volleys[0]);
-  FoldU64(digest, volleys[1]);
+  digest = Fnv1aU64(digest, digests[0]);
+  digest = Fnv1aU64(digest, digests[1]);
+  digest = Fnv1aU64(digest, events);
+  digest = Fnv1aU64(digest, runner.epochs());
+  digest = Fnv1aU64(digest, volleys[0]);
+  digest = Fnv1aU64(digest, volleys[1]);
   return digest;
 }
 
